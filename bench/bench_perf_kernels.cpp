@@ -18,8 +18,7 @@
 #include "dsp/tonegen.h"
 #include "obs/bench_report.h"
 #include "path/measurements.h"
-#include "path/receiver_path.h"
-#include "path/workspace.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 
 using namespace msts;
@@ -119,7 +118,7 @@ BENCHMARK(BM_FaultSimBatch);
 
 static void BM_PathTransient(benchmark::State& state) {
   const auto config = path::reference_path_config();
-  const path::ReceiverPath path(config);
+  const path::PathGraph path(config);
   const dsp::Tone t{config.lo.freq_hz + 400e3, 1e-3, 0.0};
   analog::Signal rf;
   rf.fs = config.analog_fs;
@@ -127,7 +126,7 @@ static void BM_PathTransient(benchmark::State& state) {
   stats::Rng rng(1);
   // Workspace reuse across iterations: the steady state of every measurement
   // sweep and Monte-Carlo loop.
-  path::PathWorkspace ws;
+  path::GraphWorkspace ws;
   for (auto _ : state) {
     const auto& trace = path.run(rf, rng, ws);
     benchmark::DoNotOptimize(const_cast<std::int64_t*>(trace.filter_out.data()));
@@ -141,7 +140,7 @@ static void BM_PathGainMeasure(benchmark::State& state) {
   // and spectral read-back. measure_path_p1db_dbm calls this ~24 times and
   // the Monte-Carlo analyses thousands of times.
   const auto config = path::reference_path_config();
-  const path::ReceiverPath path(config);
+  const path::PathGraph path(config);
   path::MeasureOptions opts;
   opts.digital_record = 1024;
   const double if_freq = path::coherent_if_freq(config, opts, 400e3);

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/translation.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/monte_carlo.h"
 
 int main() {
@@ -30,7 +30,7 @@ int main() {
   std::vector<double> err_adaptive, err_nominal;
   std::printf("%-4s %12s %12s %12s\n", "#", "actual", "adaptive", "nominal");
   for (int i = 0; i < kInstances; ++i) {
-    const auto dev = path::ReceiverPath::sampled(config, mc);
+    const auto dev = path::PathGraph::sampled(config, mc);
     const double actual = dev.mixer().actual_iip3_dbm();
     const double adaptive = tr.measure_mixer_iip3_dbm(dev, n1, true, opts);
     const double nominal = tr.measure_mixer_iip3_dbm(dev, n2, false, opts);

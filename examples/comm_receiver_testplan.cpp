@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/translation.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/monte_carlo.h"
 
 int main() {
@@ -31,7 +31,7 @@ int main() {
 
   std::vector<double> gain_err, iip3_err, p1db_err, fc_err;
   for (int i = 0; i < kInstances; ++i) {
-    const auto dev = path::ReceiverPath::sampled(config, mc);
+    const auto dev = path::PathGraph::sampled(config, mc);
 
     const double g_est = tr.measure_path_gain_db(dev, noise, opts);
     const double g_act = dev.amp().actual_gain_db() +

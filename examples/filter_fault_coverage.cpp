@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/digital_test.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 
 int main() {
   using namespace msts;
@@ -38,7 +38,7 @@ int main() {
   std::printf("Exact-inputs regime:   %5zu/%zu detected  (%.1f %% coverage)\n",
               exact.detected, exact.total, 100.0 * exact.coverage());
 
-  const path::ReceiverPath device(config);
+  const path::PathGraph device(config);
   stats::Rng noise(42);
   const auto noisy = tester.path_codes(plan, device, noise);
   const auto spectral = tester.spectral_campaign(plan, ideal, noisy, faults);

@@ -10,7 +10,7 @@
 #include "core/spec_backprop.h"
 #include "core/synthesizer.h"
 #include "core/test_program.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 
 int main() {
   using namespace msts;
@@ -38,7 +38,7 @@ int main() {
   stats::Rng noise(124);
   int passed = 0;
   for (int i = 0; i < 8; ++i) {
-    const auto device = path::ReceiverPath::sampled(config, mc);
+    const auto device = path::PathGraph::sampled(config, mc);
     const auto log = program.run(device, noise, /*stop_on_fail=*/true);
     passed += log.pass ? 1 : 0;
     std::printf("device %d: %s\n", i,
@@ -53,10 +53,10 @@ int main() {
 
   std::printf("planted defect: weak mixer (IIP3 = -6 dBm)\n%s\n",
               core::format_datalog(
-                  program.run(path::ReceiverPath(defective_iip3), noise)).c_str());
+                  program.run(path::PathGraph(defective_iip3), noise)).c_str());
   std::printf("planted defect: shifted cutoff (1.3 MHz)\n%s\n",
               core::format_datalog(
-                  program.run(path::ReceiverPath(defective_fc), noise)).c_str());
+                  program.run(path::PathGraph(defective_fc), noise)).c_str());
 
   // 4. What still needs silicon support.
   const core::TestSynthesizer synth(config);

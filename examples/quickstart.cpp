@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "core/synthesizer.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 
 int main() {
@@ -31,7 +31,7 @@ int main() {
   //    filter output.
   stats::Rng mc(2026);
   stats::Rng noise(7);
-  const auto device = path::ReceiverPath::sampled(config, mc);
+  const auto device = path::PathGraph::sampled(config, mc);
   const double est = synth.translator().measure_mixer_iip3_dbm(
       device, noise, /*adaptive=*/true);
   std::printf("translated mixer IIP3: %.2f dBm (actual %.2f dBm, budget ±%.2f dB)\n",

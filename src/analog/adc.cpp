@@ -43,10 +43,13 @@ Adc::Adc(const AdcParams& p)
           p.inl_peak_lsb.nominal, p.dnl_sigma_lsb.nominal, /*pattern_seed=*/12345) {}
 
 Adc Adc::sampled(const AdcParams& p, stats::Rng& rng) {
-  return Adc(p.bits, p.vref, stats::sample(p.offset_error_v, rng),
-             stats::sample(p.gain_error, rng),
-             stats::sample(p.inl_peak_lsb, rng),
-             std::abs(stats::sample(p.dnl_sigma_lsb, rng)), rng.next_u64());
+  const double offset_error_v = stats::sample(p.offset_error_v, rng);
+  const double gain_error = stats::sample(p.gain_error, rng);
+  const double inl_peak_lsb = stats::sample(p.inl_peak_lsb, rng);
+  const double dnl_sigma_lsb = std::abs(stats::sample(p.dnl_sigma_lsb, rng));
+  const std::uint64_t pattern_seed = rng.next_u64();
+  return Adc(p.bits, p.vref, offset_error_v, gain_error, inl_peak_lsb, dnl_sigma_lsb,
+             pattern_seed);
 }
 
 double Adc::lsb() const { return 2.0 * vref_ / static_cast<double>(1ll << bits_); }

@@ -30,6 +30,8 @@ struct AdcParams {
 class Adc {
  public:
   explicit Adc(const AdcParams& params);
+  /// Draws offset, gain error, INL peak and DNL sigma (AdcParams declaration
+  /// order), then the DNL pattern seed with one next_u64().
   static Adc sampled(const AdcParams& params, stats::Rng& rng);
 
   /// Samples every `decimation`-th input point and converts it to a signed

@@ -39,10 +39,14 @@ Amplifier::Amplifier(const AmpParams& p)
                 p.p1db_in_dbm.nominal, p.nf_db.nominal, p.dc_offset_v.nominal) {}
 
 Amplifier Amplifier::sampled(const AmpParams& p, stats::Rng& rng) {
-  return Amplifier(stats::sample(p.gain_db, rng), stats::sample(p.iip3_dbm, rng),
-                   stats::sample(p.iip2_dbm, rng), stats::sample(p.p1db_in_dbm, rng),
-                   std::max(0.0, stats::sample(p.nf_db, rng)),
-                   stats::sample(p.dc_offset_v, rng));
+  // Named locals sequence the draws; constructor arguments would not.
+  const double gain_db = stats::sample(p.gain_db, rng);
+  const double iip3_dbm = stats::sample(p.iip3_dbm, rng);
+  const double iip2_dbm = stats::sample(p.iip2_dbm, rng);
+  const double p1db_in_dbm = stats::sample(p.p1db_in_dbm, rng);
+  const double nf_db = std::max(0.0, stats::sample(p.nf_db, rng));
+  const double dc_offset_v = stats::sample(p.dc_offset_v, rng);
+  return Amplifier(gain_db, iip3_dbm, iip2_dbm, p1db_in_dbm, nf_db, dc_offset_v);
 }
 
 void Amplifier::process_into(const Signal& in, stats::Rng& noise_rng,

@@ -32,7 +32,8 @@ class Amplifier {
   explicit Amplifier(const AmpParams& params);
 
   /// Instance with every parameter drawn from its tolerance distribution
-  /// (Gaussian, 3 sigma = tolerance).
+  /// (Gaussian, 3 sigma = tolerance), in AmpParams declaration order:
+  /// gain, IIP3, IIP2, P1dB, NF, DC offset.
   static Amplifier sampled(const AmpParams& params, stats::Rng& rng);
 
   /// Processes a waveform; `noise_rng` drives the thermal noise.

@@ -25,9 +25,9 @@ LocalOscillator::LocalOscillator(const LoParams& p)
                       p.amplitude) {}
 
 LocalOscillator LocalOscillator::sampled(const LoParams& p, stats::Rng& rng) {
-  return LocalOscillator(p.freq_hz, stats::sample(p.freq_error_ppm, rng),
-                         std::max(0.0, stats::sample(p.phase_noise_rad, rng)),
-                         p.amplitude);
+  const double freq_error_ppm = stats::sample(p.freq_error_ppm, rng);
+  const double phase_noise_rad = std::max(0.0, stats::sample(p.phase_noise_rad, rng));
+  return LocalOscillator(p.freq_hz, freq_error_ppm, phase_noise_rad, p.amplitude);
 }
 
 double LocalOscillator::actual_freq_hz() const {

@@ -28,6 +28,8 @@ struct LoParams {
 class LocalOscillator {
  public:
   explicit LocalOscillator(const LoParams& params);
+  /// Draws the frequency error, then the phase-noise step (LoParams
+  /// declaration order).
   static LocalOscillator sampled(const LoParams& params, stats::Rng& rng);
 
   /// Generates n samples at rate fs. Phase noise is a Wiener process driven

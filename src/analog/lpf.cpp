@@ -56,9 +56,10 @@ LowPassFilter::LowPassFilter(const LpfParams& p)
                     p.clock_hz, p.clock_spur_v.nominal) {}
 
 LowPassFilter LowPassFilter::sampled(const LpfParams& p, stats::Rng& rng) {
-  return LowPassFilter(stats::sample(p.cutoff_hz, rng),
-                       stats::sample(p.passband_gain_db, rng), p.order, p.clock_hz,
-                       std::abs(stats::sample(p.clock_spur_v, rng)));
+  const double cutoff_hz = stats::sample(p.cutoff_hz, rng);
+  const double passband_gain_db = stats::sample(p.passband_gain_db, rng);
+  const double clock_spur_v = std::abs(stats::sample(p.clock_spur_v, rng));
+  return LowPassFilter(cutoff_hz, passband_gain_db, p.order, p.clock_hz, clock_spur_v);
 }
 
 void LowPassFilter::process_into(const Signal& in, Signal& out) const {

@@ -41,6 +41,8 @@ struct LpfParams {
 class LowPassFilter {
  public:
   explicit LowPassFilter(const LpfParams& params);
+  /// Draws the cutoff, the pass-band gain, then the clock-spur amplitude
+  /// (LpfParams declaration order).
   static LowPassFilter sampled(const LpfParams& params, stats::Rng& rng);
 
   /// Filters the waveform and injects the clock spur (and its alias if the

@@ -24,9 +24,12 @@ Mixer::Mixer(const MixerParams& p)
             p.lo_isolation_db.nominal, p.nf_db.nominal) {}
 
 Mixer Mixer::sampled(const MixerParams& p, stats::Rng& rng) {
-  return Mixer(stats::sample(p.conv_gain_db, rng), stats::sample(p.iip3_dbm, rng),
-               stats::sample(p.p1db_in_dbm, rng), stats::sample(p.lo_isolation_db, rng),
-               std::max(0.0, stats::sample(p.nf_db, rng)));
+  const double conv_gain_db = stats::sample(p.conv_gain_db, rng);
+  const double iip3_dbm = stats::sample(p.iip3_dbm, rng);
+  const double p1db_in_dbm = stats::sample(p.p1db_in_dbm, rng);
+  const double lo_isolation_db = stats::sample(p.lo_isolation_db, rng);
+  const double nf_db = std::max(0.0, stats::sample(p.nf_db, rng));
+  return Mixer(conv_gain_db, iip3_dbm, p1db_in_dbm, lo_isolation_db, nf_db);
 }
 
 void Mixer::process_into(const Signal& rf, const Signal& lo, stats::Rng& noise_rng,

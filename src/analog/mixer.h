@@ -26,6 +26,8 @@ struct MixerParams {
 class Mixer {
  public:
   explicit Mixer(const MixerParams& params);
+  /// Draws every parameter from its tolerance in MixerParams declaration
+  /// order: conversion gain, IIP3, P1dB, LO isolation, NF.
   static Mixer sampled(const MixerParams& params, stats::Rng& rng);
 
   /// Mixes `rf` with `lo` (same rate and length). Output contains the

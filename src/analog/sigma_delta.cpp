@@ -28,10 +28,11 @@ SigmaDeltaModulator::SigmaDeltaModulator(const SigmaDeltaParams& p)
 
 SigmaDeltaModulator SigmaDeltaModulator::sampled(const SigmaDeltaParams& p,
                                                  stats::Rng& rng) {
-  return SigmaDeltaModulator(p.order, p.vref,
-                             1.0 + stats::sample(p.integrator_gain_error, rng),
-                             std::abs(stats::sample(p.integrator_leak, rng)),
-                             stats::sample(p.dac_mismatch_v, rng), p.state_clip);
+  const double integrator_gain = 1.0 + stats::sample(p.integrator_gain_error, rng);
+  const double leak = std::abs(stats::sample(p.integrator_leak, rng));
+  const double dac_mismatch_v = stats::sample(p.dac_mismatch_v, rng);
+  return SigmaDeltaModulator(p.order, p.vref, integrator_gain, leak, dac_mismatch_v,
+                             p.state_clip);
 }
 
 std::vector<int> SigmaDeltaModulator::modulate(const Signal& in) const {

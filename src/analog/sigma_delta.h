@@ -33,6 +33,8 @@ struct SigmaDeltaParams {
 class SigmaDeltaModulator {
  public:
   explicit SigmaDeltaModulator(const SigmaDeltaParams& params);
+  /// Draws the integrator gain error, the leak, then the DAC mismatch
+  /// (SigmaDeltaParams declaration order).
   static SigmaDeltaModulator sampled(const SigmaDeltaParams& params, stats::Rng& rng);
 
   /// Modulates the waveform into a +/-1 bit stream (one bit per input

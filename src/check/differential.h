@@ -125,7 +125,7 @@ void publish(const Report& report);
 /// bit-identical on both sides and every divergence is attributable to the
 /// kernels themselves. `describe` serialises the case into the failure
 /// reproducer. Closures may keep state across cases (the workspace check
-/// reuses one PathWorkspace on purpose — steady-state reuse is part of the
+/// reuses one GraphWorkspace on purpose — steady-state reuse is part of the
 /// contract under test).
 template <typename Case>
 Report differential(

@@ -18,7 +18,7 @@
 #include "dsp/tonegen.h"
 #include "dsp/window.h"
 #include "obs/json.h"
-#include "path/receiver_path.h"
+#include "path/path_config.h"
 #include "stats/distributions.h"
 #include "stats/rng.h"
 #include "stats/yield.h"

@@ -17,7 +17,7 @@
 #include "dsp/oscillator.h"
 #include "dsp/tonegen.h"
 #include "dsp/window.h"
-#include "path/workspace.h"
+#include "path/path_graph.h"
 #include "stats/yield.h"
 
 namespace msts::check {
@@ -249,13 +249,14 @@ analog::Signal make_case_rf(const PathCase& c) {
   return rf;
 }
 
-// Flattens the observable outputs of one transient: the full-precision FIR
-// output plus its volts conversion.
-std::vector<double> flatten_trace(const path::ReceiverPath& p,
-                                  const path::ReceiverPath::Trace& t,
+// Flattens the observable outputs of one transient: ADC codes, the
+// full-precision FIR output, its volts conversion and the FIR response.
+std::vector<double> flatten_trace(const path::PathGraph& p,
+                                  const path::PathGraph::Trace& t,
                                   const std::vector<double>& volts) {
   std::vector<double> out;
-  out.reserve(t.filter_out.size() + volts.size() + 1);
+  out.reserve(t.adc_codes.size() + t.filter_out.size() + volts.size() + 1);
+  for (std::int64_t v : t.adc_codes) out.push_back(static_cast<double>(v));
   for (std::int64_t v : t.filter_out) out.push_back(static_cast<double>(v));
   out.insert(out.end(), volts.begin(), volts.end());
   out.push_back(p.fir_magnitude_at(0.1 * p.config().digital_fs()));
@@ -268,73 +269,22 @@ Report check_path_workspace_vs_allocating_run(const RunOptions& opts) {
   using Case = PathCase;
   // One workspace shared across every case: steady-state reuse across
   // different record lengths and configs is exactly the contract under test.
-  auto ws = std::make_shared<path::PathWorkspace>();
+  auto ws = std::make_shared<path::GraphWorkspace>();
   return differential<Case>(
       "path_workspace_vs_allocating_run",
       [](stats::Rng& rng) { return random_path_case(rng); },
       [ws](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
+        const path::PathGraph p = path::PathGraph::sampled(c.cfg, rng);
         const analog::Signal rf = make_case_rf(c);
         const auto& trace = p.run(rf, rng, *ws);
-        p.filter_output_volts_into(trace, ws->volts);
+        p.output_volts_into(trace, ws->volts);
         return flatten_trace(p, trace, ws->volts);
       },
       [](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
+        const path::PathGraph p = path::PathGraph::sampled(c.cfg, rng);
         const analog::Signal rf = make_case_rf(c);
-        const path::ReceiverPath::Trace trace = p.run(rf, rng);
-        const std::vector<double> volts = p.filter_output_volts(trace);
-        return flatten_trace(p, trace, volts);
-      },
-      [](const Case& c, obs::json::Writer& w) { describe_path_case(c, w); },
-      Tolerance::bit_identical(), opts);
-}
-
-// ---------------------------------------------------------------------------
-// Generic path-graph walk vs the legacy ReceiverPath transient. The fast side
-// runs the canonical instance through PathGraph::run (the generic stage
-// walker any topology uses); the golden side is the historical hand-rolled
-// amp→mixer→lpf→adc→fir body. Both sample the same manufactured path from
-// the same stream, so every output — ADC codes, full-precision FIR words,
-// the volts conversion and the FIR response — must be bit-identical. This is
-// the canonical-instance equivalence contract of path/path_graph.h.
-// ---------------------------------------------------------------------------
-
-Report check_path_graph_vs_receiver_path(const RunOptions& opts) {
-  using Case = PathCase;
-  auto flatten_graph = [](const path::PathGraph& g,
-                          const path::PathGraph::Trace& t,
-                          const std::vector<double>& volts) {
-    std::vector<double> out;
-    out.reserve(t.adc_codes.size() + t.filter_out.size() + volts.size() + 1);
-    for (std::int64_t v : t.adc_codes) out.push_back(static_cast<double>(v));
-    for (std::int64_t v : t.filter_out) out.push_back(static_cast<double>(v));
-    out.insert(out.end(), volts.begin(), volts.end());
-    out.push_back(g.fir_magnitude_at(0.1 * g.config().digital_fs()));
-    return out;
-  };
-  return differential<Case>(
-      "path_graph_vs_receiver_path",
-      [](stats::Rng& rng) { return random_path_case(rng); },
-      [flatten_graph](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
-        const analog::Signal rf = make_case_rf(c);
-        const path::PathGraph::Trace trace = p.graph().run(rf, rng);
-        return flatten_graph(p.graph(), trace, p.graph().output_volts(trace));
-      },
-      [](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
-        const analog::Signal rf = make_case_rf(c);
-        const path::ReceiverPath::Trace trace = p.run(rf, rng);
-        const std::vector<double> volts = p.filter_output_volts(trace);
-        std::vector<double> out;
-        out.reserve(trace.adc_codes.size() + trace.filter_out.size() +
-                    volts.size() + 1);
-        for (std::int64_t v : trace.adc_codes) out.push_back(static_cast<double>(v));
-        for (std::int64_t v : trace.filter_out) out.push_back(static_cast<double>(v));
-        out.insert(out.end(), volts.begin(), volts.end());
-        out.push_back(p.fir_magnitude_at(0.1 * c.cfg.digital_fs()));
-        return out;
+        const path::PathGraph::Trace trace = p.run(rf, rng);
+        return flatten_trace(p, trace, p.output_volts(trace));
       },
       [](const Case& c, obs::json::Writer& w) { describe_path_case(c, w); },
       Tolerance::bit_identical(), opts);
@@ -662,7 +612,6 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_goertzel_vs_direct_correlation(opts),
       check_oscillator_vs_libm_trig(opts),
       check_path_workspace_vs_allocating_run(opts),
-      check_path_graph_vs_receiver_path(opts),
       check_parallel_mc_vs_serial(opts),
       check_guard_band_analytic_vs_mc(opts),
       check_simd_window_vs_scalar(opts),

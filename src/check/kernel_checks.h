@@ -10,10 +10,8 @@
 //   planned real FFT (fft_plan)     | naive O(N^2) DFT, libm trig per (n,k)
 //   blockwise Goertzel single bin   | direct correlation, libm trig per n
 //   recurrence oscillator (tonegen) | long-double libm cos per sample
-//   ReceiverPath::run into a reused | allocating ReceiverPath::run
-//     PathWorkspace                 |
-//   generic PathGraph walk over the | legacy ReceiverPath::run body
-//     canonical receiver graph      |
+//   PathGraph::run into a reused    | allocating PathGraph::run
+//     GraphWorkspace                |
 //   evaluate_test_mc on 4 threads   | evaluate_test_mc on 1 thread
 //   analytic evaluate_test at       | evaluate_test_mc (large trial count)
 //     guard-banded thresholds       |
@@ -34,7 +32,6 @@ Report check_fft_plan_vs_naive_dft(const RunOptions& opts = {});
 Report check_goertzel_vs_direct_correlation(const RunOptions& opts = {});
 Report check_oscillator_vs_libm_trig(const RunOptions& opts = {});
 Report check_path_workspace_vs_allocating_run(const RunOptions& opts = {});
-Report check_path_graph_vs_receiver_path(const RunOptions& opts = {});
 Report check_parallel_mc_vs_serial(const RunOptions& opts = {});
 Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/signal_attr.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 
 namespace msts::core {
 

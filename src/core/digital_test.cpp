@@ -101,7 +101,7 @@ DigitalTestPlan DigitalTester::plan(const DigitalTestOptions& options) const {
   // (quantisation texture, INL distortion forests, clock-spur
   // intermodulation, phase-noise skirts) is thereby part of the mask base
   // and is never mistaken for a fault signature.
-  const path::ReceiverPath ref_path(config_);
+  const path::PathGraph ref_path(config_);
   stats::Rng ref_rng(0xD17E5EEDull ^ options.record);
   analog::Signal ref_rf;
   ref_rf.fs = config_.analog_fs;
@@ -213,7 +213,7 @@ std::vector<std::int64_t> DigitalTester::ideal_codes(const DigitalTestPlan& plan
 }
 
 std::vector<std::int64_t> DigitalTester::path_codes(const DigitalTestPlan& plan,
-                                                    const path::ReceiverPath& path,
+                                                    const path::PathGraph& path,
                                                     stats::Rng& noise_rng) const {
   analog::Signal rf;
   rf.fs = config_.analog_fs;

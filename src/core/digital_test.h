@@ -17,7 +17,7 @@
 #include "digital/fir.h"
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 
 namespace msts::core {
@@ -83,7 +83,7 @@ class DigitalTester {
   /// Realistic stimulus: the plan's RF tones run through a concrete path
   /// (noise, nonlinearity, INL, offset included); returns the ADC codes.
   std::vector<std::int64_t> path_codes(const DigitalTestPlan& plan,
-                                       const path::ReceiverPath& path,
+                                       const path::PathGraph& path,
                                        stats::Rng& noise_rng) const;
 
   /// Exact-compare campaign (any output-bit mismatch counts as detection).

@@ -62,7 +62,7 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
 
     path::PathConfig instance_cfg = config;
     instance_cfg.mixer.iip3_dbm = stats::Uncertain::exact(true_iip3);
-    const auto device = path::ReceiverPath::sampled(instance_cfg, trial_rng);
+    const auto device = path::PathGraph::sampled(instance_cfg, trial_rng);
 
     const double measured =
         translator.measure_mixer_iip3_dbm(device, trial_rng, adaptive, opts);

@@ -12,7 +12,6 @@
 
 #include "core/coverage.h"
 #include "path/measurements.h"
-#include "path/receiver_path.h"
 #include "stats/rng.h"
 
 namespace msts::core {

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "path/receiver_path.h"
+#include "path/path_config.h"
 #include "stats/yield.h"
 
 namespace msts::core {

@@ -14,7 +14,7 @@
 
 #include "core/coverage.h"
 #include "core/translation.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 
 namespace msts::core {
 

@@ -61,7 +61,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     s.spec = stats::SpecLimits::window(nominal - tol, nominal + tol);
     s.error_budget_wc = translator_.analyze_path_gain().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& p, stats::Rng& rng,
+    s.measure = [this](const path::PathGraph& p, stats::Rng& rng,
                        TestContext& ctx) {
       const double g = translator_.measure_path_gain_db(p, rng, opts_);
       ctx.path_gain_db = g;
@@ -79,7 +79,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     s.spec = stats::SpecLimits::window(-tol, tol);
     s.error_budget_wc = translator_.analyze_lo_freq_error().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& p, stats::Rng& rng,
+    s.measure = [this](const path::PathGraph& p, stats::Rng& rng,
                        TestContext& ctx) {
       const double e = translator_.measure_lo_freq_error_ppm(p, rng, opts_);
       ctx.lo_error_ppm = e;
@@ -97,7 +97,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     s.spec = stats::SpecLimits::window(-tol, tol);
     s.error_budget_wc = translator_.analyze_adc_offset().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& p, stats::Rng& rng, TestContext&) {
+    s.measure = [this](const path::PathGraph& p, stats::Rng& rng, TestContext&) {
       return path::measure_output_dc_v(p, rng, opts_);
     };
     steps_.push_back(std::move(s));
@@ -111,7 +111,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     s.spec = two_sigma_low(config.mixer.iip3_dbm);
     s.error_budget_wc = translator_.analyze_mixer_iip3(true).error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& p, stats::Rng& rng,
+    s.measure = [this](const path::PathGraph& p, stats::Rng& rng,
                        TestContext& ctx) {
       if (ctx.path_gain_db) {
         return translator_.measure_mixer_iip3_dbm_with_gain(p, rng, *ctx.path_gain_db,
@@ -130,7 +130,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     s.spec = two_sigma_low(config.mixer.p1db_in_dbm);
     s.error_budget_wc = translator_.analyze_mixer_p1db().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& p, stats::Rng& rng, TestContext&) {
+    s.measure = [this](const path::PathGraph& p, stats::Rng& rng, TestContext&) {
       return translator_.measure_mixer_p1db_dbm(p, rng, opts_);
     };
     steps_.push_back(std::move(s));
@@ -146,7 +146,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
                                        p.nominal + 2.0 * p.sigma);
     s.error_budget_wc = translator_.analyze_lpf_cutoff().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& dev, stats::Rng& rng, TestContext&) {
+    s.measure = [this](const path::PathGraph& dev, stats::Rng& rng, TestContext&) {
       return translator_.measure_lpf_cutoff_hz(dev, rng, opts_);
     };
     steps_.push_back(std::move(s));
@@ -160,7 +160,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     s.spec = stats::SpecLimits::at_least(50.0);
     s.error_budget_wc = 1.0;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
-    s.measure = [this](const path::ReceiverPath& dev, stats::Rng& rng, TestContext&) {
+    s.measure = [this](const path::PathGraph& dev, stats::Rng& rng, TestContext&) {
       const double f = translator_.test_if_freq(opts_);
       return path::measure_spectrum_report(dev, f, translator_.linear_drive_vpeak(),
                                            rng, opts_)
@@ -170,7 +170,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
   }
 }
 
-DeviceResult TestProgram::run(const path::ReceiverPath& device, stats::Rng& noise_rng,
+DeviceResult TestProgram::run(const path::PathGraph& device, stats::Rng& noise_rng,
                               bool stop_on_fail) const {
   DeviceResult out;
   TestContext ctx;

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/translation.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/yield.h"
 
 namespace msts::core {
@@ -41,7 +41,7 @@ struct TestStep {
   stats::SpecLimits spec;        ///< True specification on the parameter.
   stats::SpecLimits limits;      ///< Guard-banded test limits actually applied.
   double error_budget_wc = 0.0;  ///< Worst-case computation error (unit).
-  std::function<double(const path::ReceiverPath&, stats::Rng&, TestContext&)> measure;
+  std::function<double(const path::PathGraph&, stats::Rng&, TestContext&)> measure;
 };
 
 /// Datalog entry for one executed step.
@@ -72,7 +72,7 @@ class TestProgram {
   /// Runs all steps against a device. With `stop_on_fail` the program exits
   /// at the first failing step (production behaviour); the remaining steps
   /// are not logged.
-  DeviceResult run(const path::ReceiverPath& device, stats::Rng& noise_rng,
+  DeviceResult run(const path::PathGraph& device, stats::Rng& noise_rng,
                    bool stop_on_fail = false) const;
 
   const std::vector<TestStep>& steps() const { return steps_; }

@@ -290,7 +290,7 @@ TranslationAnalysis Translator::analyze_path_nf() const {
 // Executed measurements
 // ---------------------------------------------------------------------------
 
-double Translator::measure_path_gain_db(const path::ReceiverPath& p, stats::Rng& rng,
+double Translator::measure_path_gain_db(const path::PathGraph& p, stats::Rng& rng,
                                         const path::MeasureOptions& opts) const {
   return path::measure_path_gain_db(p, test_if_freq(opts), linear_drive_vpeak(), rng,
                                     opts);
@@ -311,7 +311,7 @@ double iip3_from_response(const path::TwoToneResponse& resp,
 
 }  // namespace
 
-double Translator::measure_mixer_iip3_dbm(const path::ReceiverPath& p, stats::Rng& rng,
+double Translator::measure_mixer_iip3_dbm(const path::PathGraph& p, stats::Rng& rng,
                                           bool adaptive,
                                           const path::MeasureOptions& opts) const {
   if (adaptive) {
@@ -326,7 +326,7 @@ double Translator::measure_mixer_iip3_dbm(const path::ReceiverPath& p, stats::Rn
 }
 
 double Translator::measure_mixer_iip3_dbm_with_gain(
-    const path::ReceiverPath& p, stats::Rng& rng, double path_gain_db,
+    const path::PathGraph& p, stats::Rng& rng, double path_gain_db,
     const path::MeasureOptions& opts) const {
   const auto [f1, f2] = test_two_tone(opts);
   const auto resp = path::measure_two_tone(p, f1, f2, linear_drive_vpeak(), rng, opts);
@@ -335,7 +335,7 @@ double Translator::measure_mixer_iip3_dbm_with_gain(
   return iip3_from_response(resp, path_gain_db - g_a);
 }
 
-double Translator::measure_mixer_p1db_dbm(const path::ReceiverPath& p, stats::Rng& rng,
+double Translator::measure_mixer_p1db_dbm(const path::PathGraph& p, stats::Rng& rng,
                                           const path::MeasureOptions& opts) const {
   const double f_rf = lo_freq() + test_if_freq(opts);
   const double p1db_pi =
@@ -344,12 +344,12 @@ double Translator::measure_mixer_p1db_dbm(const path::ReceiverPath& p, stats::Rn
   return p1db_pi + g_a;
 }
 
-double Translator::measure_lpf_cutoff_hz(const path::ReceiverPath& p, stats::Rng& rng,
+double Translator::measure_lpf_cutoff_hz(const path::PathGraph& p, stats::Rng& rng,
                                          const path::MeasureOptions& opts) const {
   return path::measure_path_cutoff_hz(p, linear_drive_vpeak(), rng, opts);
 }
 
-double Translator::measure_lo_freq_error_ppm(const path::ReceiverPath& p,
+double Translator::measure_lo_freq_error_ppm(const path::PathGraph& p,
                                              stats::Rng& rng,
                                              const path::MeasureOptions& opts) const {
   return path::measure_lo_freq_error_ppm(p, test_if_freq(opts), linear_drive_vpeak(),

@@ -24,7 +24,7 @@
 
 #include "core/attr_models.h"
 #include "path/measurements.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 #include "stats/uncertain.h"
 
@@ -104,31 +104,31 @@ class Translator {
   // ---- executed measurements -------------------------------------------
 
   /// Measures the composed path gain (dB) at an in-band IF frequency.
-  double measure_path_gain_db(const path::ReceiverPath& p, stats::Rng& rng,
+  double measure_path_gain_db(const path::PathGraph& p, stats::Rng& rng,
                               const path::MeasureOptions& opts = {}) const;
 
   /// Executes the translated mixer-IIP3 test (dBm at the mixer input).
   /// With `adaptive`, the path gain is measured first and substituted.
-  double measure_mixer_iip3_dbm(const path::ReceiverPath& p, stats::Rng& rng,
+  double measure_mixer_iip3_dbm(const path::PathGraph& p, stats::Rng& rng,
                                 bool adaptive,
                                 const path::MeasureOptions& opts = {}) const;
 
   /// Adaptive IIP3 computation reusing an already-measured path gain (the
   /// test-program flow: composites are measured once and shared).
-  double measure_mixer_iip3_dbm_with_gain(const path::ReceiverPath& p,
+  double measure_mixer_iip3_dbm_with_gain(const path::PathGraph& p,
                                           stats::Rng& rng, double path_gain_db,
                                           const path::MeasureOptions& opts = {}) const;
 
   /// Executes the translated mixer-P1dB test (dBm at the mixer input).
-  double measure_mixer_p1db_dbm(const path::ReceiverPath& p, stats::Rng& rng,
+  double measure_mixer_p1db_dbm(const path::PathGraph& p, stats::Rng& rng,
                                 const path::MeasureOptions& opts = {}) const;
 
   /// Executes the translated LPF-cutoff test (Hz).
-  double measure_lpf_cutoff_hz(const path::ReceiverPath& p, stats::Rng& rng,
+  double measure_lpf_cutoff_hz(const path::PathGraph& p, stats::Rng& rng,
                                const path::MeasureOptions& opts = {}) const;
 
   /// Executes the LO frequency-error test (ppm).
-  double measure_lo_freq_error_ppm(const path::ReceiverPath& p, stats::Rng& rng,
+  double measure_lo_freq_error_ppm(const path::PathGraph& p, stats::Rng& rng,
                                    const path::MeasureOptions& opts = {}) const;
 
   // ---- stimulus choices (shared by analyses and measurements) ----------

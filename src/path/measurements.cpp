@@ -7,15 +7,24 @@
 #include "dsp/tonegen.h"
 #include "obs/registry.h"
 #include "obs/scoped_timer.h"
-#include "path/workspace.h"
 
 namespace msts::path {
 
 namespace {
 
 // Analog record length backing a digital record of opts.digital_record.
-std::size_t analog_record(const PathConfig& c, const MeasureOptions& opts) {
-  return opts.digital_record * c.adc_decimation;
+std::size_t analog_record(const PathGraphConfig& c, const MeasureOptions& opts) {
+  return opts.digital_record * c.adc_decimation();
+}
+
+double coherent_if(const PathGraphConfig& c, const MeasureOptions& opts,
+                   double target_if) {
+  return dsp::coherent_frequency(c.digital_fs(), opts.digital_record, target_if);
+}
+
+// Programmed (nominal) frequency of the first mixer's LO.
+double lo_freq_hz(const PathGraphConfig& c) {
+  return c.first(BlockKind::kMixer).lo.freq_hz;
 }
 
 // Per-thread scratch for the measurement loops below. Sweeps (P1dB, cutoff)
@@ -24,7 +33,7 @@ std::size_t analog_record(const PathConfig& c, const MeasureOptions& opts) {
 // Every buffer is fully overwritten per run, so results are independent of
 // what the previous measurement on this thread left behind.
 struct MeasureScratch {
-  PathWorkspace ws;
+  GraphWorkspace ws;
   analog::Signal rf;
   std::vector<dsp::Tone> tones;
 };
@@ -36,15 +45,16 @@ MeasureScratch& scratch() {
 
 // Builds the RF stimulus into s.rf: one tone per IF frequency, translated up
 // by the nominal LO frequency.
-void make_rf(const ReceiverPath& path, std::span<const double> if_freqs,
+void make_rf(const PathGraph& path, std::span<const double> if_freqs,
              std::span<const double> amps, const MeasureOptions& opts,
              MeasureScratch& s) {
   MSTS_REQUIRE(if_freqs.size() == amps.size(), "one amplitude per tone");
-  const PathConfig& c = path.config();
+  const PathGraphConfig& c = path.config();
+  const double f_lo = lo_freq_hz(c);
   s.tones.clear();
   s.tones.reserve(if_freqs.size());
   for (std::size_t i = 0; i < if_freqs.size(); ++i) {
-    s.tones.push_back(dsp::Tone{c.lo.freq_hz + if_freqs[i], amps[i], 0.0});
+    s.tones.push_back(dsp::Tone{f_lo + if_freqs[i], amps[i], 0.0});
   }
   s.rf.fs = c.analog_fs;
   dsp::generate_tones_into(s.tones, 0.0, c.analog_fs, analog_record(c, opts),
@@ -58,7 +68,7 @@ double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
   return dsp::coherent_frequency(config.digital_fs(), opts.digital_record, target_if);
 }
 
-dsp::Spectrum run_two_port(const ReceiverPath& path, std::span<const double> if_freqs,
+dsp::Spectrum run_two_port(const PathGraph& path, std::span<const double> if_freqs,
                            std::span<const double> amplitudes_vpeak,
                            stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::counter_add("path.run_two_port.calls");
@@ -66,11 +76,11 @@ dsp::Spectrum run_two_port(const ReceiverPath& path, std::span<const double> if_
   MeasureScratch& s = scratch();
   make_rf(path, if_freqs, amplitudes_vpeak, opts, s);
   const auto& trace = path.run(s.rf, noise_rng, s.ws);
-  path.filter_output_volts_into(trace, s.ws.volts);
+  path.output_volts_into(trace, s.ws.volts);
   return dsp::Spectrum(s.ws.volts, trace.digital_fs, opts.window);
 }
 
-double measure_path_gain_db(const ReceiverPath& path, double if_freq, double amp_vpeak,
+double measure_path_gain_db(const PathGraph& path, double if_freq, double amp_vpeak,
                             stats::Rng& noise_rng, const MeasureOptions& opts) {
   MSTS_REQUIRE(amp_vpeak > 0.0, "stimulus amplitude must be positive");
   obs::ScopedTimer timer("path.measure_path_gain_db");
@@ -83,7 +93,7 @@ double measure_path_gain_db(const ReceiverPath& path, double if_freq, double amp
   return db_from_amplitude_ratio(tone.amplitude / fir_mag / amp_vpeak);
 }
 
-TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double f2_if,
+TwoToneResponse measure_two_tone(const PathGraph& path, double f1_if, double f2_if,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
   MSTS_REQUIRE(f1_if != f2_if, "two-tone test needs distinct tones");
@@ -105,7 +115,7 @@ TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double 
   return r;
 }
 
-double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
+double measure_path_p1db_dbm(const PathGraph& path, double if_freq,
                              stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::ScopedTimer timer("path.measure_path_p1db_dbm");
   // Establish the small-signal gain, then raise the drive until it has
@@ -138,19 +148,19 @@ double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
   return 0.5 * (lo_dbm + hi_dbm);
 }
 
-double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
+double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
                               stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::ScopedTimer timer("path.measure_path_cutoff_hz");
-  const PathConfig& c = path.config();
+  const PathGraphConfig& c = path.config();
   // Reference gain deep in the pass-band.
-  const double f_ref = coherent_if_freq(c, opts, 100e3);
+  const double f_ref = coherent_if(c, opts, 100e3);
   const double g_ref = measure_path_gain_db(path, f_ref, amp_vpeak, noise_rng, opts);
 
   // Bisect the -3 dB frequency between the reference and 1.5x nominal fc.
   double lo = f_ref;
-  double hi = 1.5 * c.lpf.cutoff_hz.nominal;
+  double hi = 1.5 * c.first(BlockKind::kLpf).lpf.cutoff_hz.nominal;
   for (int iter = 0; iter < 10; ++iter) {
-    const double mid = coherent_if_freq(c, opts, 0.5 * (lo + hi));
+    const double mid = coherent_if(c, opts, 0.5 * (lo + hi));
     const double g = measure_path_gain_db(path, mid, amp_vpeak, noise_rng, opts);
     if (g_ref - g >= 3.0) {
       hi = mid;
@@ -162,24 +172,24 @@ double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
   return 0.5 * (lo + hi);
 }
 
-double measure_output_dc_v(const ReceiverPath& path, stats::Rng& noise_rng,
+double measure_output_dc_v(const PathGraph& path, stats::Rng& noise_rng,
                            const MeasureOptions& opts) {
   obs::ScopedTimer timer("path.measure_output_dc_v");
   MeasureScratch& s = scratch();
   s.rf.fs = path.config().analog_fs;
   s.rf.samples.assign(analog_record(path.config(), opts), 0.0);
   const auto& trace = path.run(s.rf, noise_rng, s.ws);
-  path.filter_output_volts_into(trace, s.ws.volts);
+  path.output_volts_into(trace, s.ws.volts);
   const std::vector<double>& volts = s.ws.volts;
   // Skip the FIR warm-up, then average.
-  const std::size_t skip = path.fir_coeffs().size();
+  const std::size_t skip = path.fir().coeffs.size();
   MSTS_REQUIRE(volts.size() > 2 * skip, "record too short for DC measurement");
   double acc = 0.0;
   for (std::size_t i = skip; i < volts.size(); ++i) acc += volts[i];
   return acc / static_cast<double>(volts.size() - skip);
 }
 
-dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_freq,
+dsp::SpectralReport measure_spectrum_report(const PathGraph& path, double if_freq,
                                             double amp_vpeak, stats::Rng& noise_rng,
                                             const MeasureOptions& opts) {
   obs::ScopedTimer timer("path.measure_spectrum_report");
@@ -191,21 +201,25 @@ dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_
   return dsp::analyze_spectrum(spectrum, ao);
 }
 
-double measure_group_delay_s(const ReceiverPath& path, double if_freq,
+double measure_group_delay_s(const PathGraph& path, double if_freq,
                              double amp_vpeak, stats::Rng& noise_rng,
                              const MeasureOptions& opts) {
   obs::ScopedTimer timer("path.measure_group_delay_s");
-  const PathConfig& c = path.config();
+  const PathGraphConfig& c = path.config();
   const double bin_w = c.digital_fs() / static_cast<double>(opts.digital_record);
   // The phase difference between the two tones is only known mod 2 pi, so the
   // phase-slope delay is unambiguous only inside +/- 1/(2 df). Estimate the
-  // nominal path delay (linear-phase FIR plus the LPF's analytic group delay
-  // — both known to the tester) and narrow the tone spacing until that
-  // estimate fits with margin; spacings stay even-bin so odd-bin snapping
-  // keeps both tones coherent and distinct.
-  const double nominal_delay_s =
-      (static_cast<double>(c.fir_taps) - 1.0) / (2.0 * c.digital_fs()) +
-      path.lpf().group_delay_at(if_freq, c.analog_fs);
+  // nominal path delay (linear-phase FIR plus the analytic group delay of
+  // every LPF stage — all known to the tester) and narrow the tone spacing
+  // until that estimate fits with margin; spacings stay even-bin so odd-bin
+  // snapping keeps both tones coherent and distinct.
+  double nominal_delay_s = (static_cast<double>(path.fir().coeffs.size()) - 1.0) /
+                           (2.0 * c.digital_fs());
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (path.kind_at(i) == BlockKind::kLpf) {
+      nominal_delay_s += path.lpf_at(i).group_delay_at(if_freq, c.analog_fs);
+    }
+  }
   double half_bins = 4.0;  // tones at if_freq -/+ half_bins * bin_w
   while (half_bins > 2.0 &&
          nominal_delay_s > 0.8 / (2.0 * 2.0 * half_bins * bin_w)) {
@@ -217,8 +231,8 @@ double measure_group_delay_s(const ReceiverPath& path, double if_freq,
                "nominal path delay exceeds the unambiguous phase-slope range "
                "even at the narrowest tone spacing; the measured phase "
                "difference would alias — use a longer record");
-  const double f1 = coherent_if_freq(c, opts, if_freq - half_bins * bin_w);
-  const double f2 = coherent_if_freq(c, opts, if_freq + half_bins * bin_w);
+  const double f1 = coherent_if(c, opts, if_freq - half_bins * bin_w);
+  const double f2 = coherent_if(c, opts, if_freq + half_bins * bin_w);
   MSTS_REQUIRE(f2 > f1, "group-delay tones collapsed; widen the record");
   // Narrowed tones sit too close for wide-lobe windows (Blackman-Harris
   // spans +/-5 bins — measure_tone's peak refinement would land both tones
@@ -240,7 +254,7 @@ double measure_group_delay_s(const ReceiverPath& path, double if_freq,
   return -dphi / (kTwoPi * (f2 - f1));
 }
 
-double measure_lo_freq_error_ppm(const ReceiverPath& path, double if_freq,
+double measure_lo_freq_error_ppm(const PathGraph& path, double if_freq,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
   obs::ScopedTimer timer("path.measure_lo_freq_error_ppm");
@@ -249,12 +263,12 @@ double measure_lo_freq_error_ppm(const ReceiverPath& path, double if_freq,
   MeasureScratch& s = scratch();
   make_rf(path, freqs, amps, opts, s);
   const auto& trace = path.run(s.rf, noise_rng, s.ws);
-  path.filter_output_volts_into(trace, s.ws.volts);
+  path.output_volts_into(trace, s.ws.volts);
   // The tone comes out at f_rf - f_lo_actual = if_freq - lo_error.
   const double measured =
       dsp::estimate_tone_frequency(s.ws.volts, trace.digital_fs, if_freq);
   const double lo_error_hz = if_freq - measured;
-  return lo_error_hz / path.config().lo.freq_hz * 1e6;
+  return lo_error_hz / lo_freq_hz(path.config()) * 1e6;
 }
 
 }  // namespace msts::path

@@ -5,6 +5,11 @@
 // known digital-filter response is divided out where needed (the paper's
 // observation that the filter is a noiseless, distortion-free known "analog"
 // filter from the tester's point of view).
+//
+// Any PathGraph topology runs: the stimulus sits at the first mixer's LO
+// frequency, and the blocks a procedure reasons about (LO, LPF, FIR) are the
+// first of their kind. A procedure that needs a kind the graph lacks throws
+// naming it.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +17,7 @@
 
 #include "dsp/metrics.h"
 #include "dsp/spectrum.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 
 namespace msts::path {
@@ -29,13 +34,13 @@ double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
 
 /// Runs the path with a multi-tone RF stimulus at lo_nominal + if_freqs and
 /// returns the filter-output spectrum (in volts).
-dsp::Spectrum run_two_port(const ReceiverPath& path, std::span<const double> if_freqs,
+dsp::Spectrum run_two_port(const PathGraph& path, std::span<const double> if_freqs,
                            std::span<const double> amplitudes_vpeak,
                            stats::Rng& noise_rng, const MeasureOptions& opts = {});
 
 /// Path voltage gain (dB): output tone amplitude at the IF over the input
 /// amplitude, corrected for the known digital-filter response.
-double measure_path_gain_db(const ReceiverPath& path, double if_freq,
+double measure_path_gain_db(const PathGraph& path, double if_freq,
                             double amp_vpeak, stats::Rng& noise_rng,
                             const MeasureOptions& opts = {});
 
@@ -46,42 +51,42 @@ struct TwoToneResponse {
   double im3_power_db = 0.0;   ///< Strongest third-order product.
   double f1 = 0.0, f2 = 0.0;   ///< IF frequencies used.
 };
-TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double f2_if,
+TwoToneResponse measure_two_tone(const PathGraph& path, double f1_if, double f2_if,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts = {});
 
 /// Input-referred 1 dB compression point of the whole path (dBm at the RF
 /// input): sweeps the input amplitude and interpolates the -1 dB gain point.
-double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
+double measure_path_p1db_dbm(const PathGraph& path, double if_freq,
                              stats::Rng& noise_rng, const MeasureOptions& opts = {});
 
 /// -3 dB cutoff of the analog chain (Hz at IF): sweeps IF frequencies,
 /// divides out the known digital-filter response, bisects the -3 dB point
 /// relative to the low-frequency gain.
-double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
+double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
                               stats::Rng& noise_rng, const MeasureOptions& opts = {});
 
 /// DC level at the filter output (volts), with no RF drive: the composed
 /// offset of the whole path.
-double measure_output_dc_v(const ReceiverPath& path, stats::Rng& noise_rng,
+double measure_output_dc_v(const PathGraph& path, stats::Rng& noise_rng,
                            const MeasureOptions& opts = {});
 
 /// Full spectral report of a single-tone record: SNR / SFDR / noise floor /
 /// harmonics at the output (the paper's dynamic-range style tests).
-dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_freq,
+dsp::SpectralReport measure_spectrum_report(const PathGraph& path, double if_freq,
                                             double amp_vpeak, stats::Rng& noise_rng,
                                             const MeasureOptions& opts = {});
 
 /// LO frequency error (ppm): applies a known RF tone and measures the exact
 /// output frequency; the deviation from the expected IF is the LO error.
-double measure_lo_freq_error_ppm(const ReceiverPath& path, double if_freq,
+double measure_lo_freq_error_ppm(const PathGraph& path, double if_freq,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts = {});
 
 /// Group delay (seconds) of the whole path around `if_freq`: two tones a few
 /// bins apart, output phase slope across them (the LO phase is common to
 /// both tones and cancels). One of Table 1's phase-requiring tests.
-double measure_group_delay_s(const ReceiverPath& path, double if_freq,
+double measure_group_delay_s(const PathGraph& path, double if_freq,
                              double amp_vpeak, stats::Rng& noise_rng,
                              const MeasureOptions& opts = {});
 

@@ -1,6 +1,6 @@
 // Flat configuration of the canonical receiver path (the paper's Fig. 6
 // chain). This is the original, ergonomic description clients hand to
-// ReceiverPath / TestSynthesizer; the composable-graph layer
+// PathGraph / TestSynthesizer; the composable-graph layer
 // (path/path_graph.h) derives its canonical PathGraphConfig from it via
 // graph_from_config(), and both describe the exact same path.
 #pragma once
@@ -46,7 +46,7 @@ struct PathConfig {
 PathConfig reference_path_config();
 
 /// Construction-time validation shared by every PathConfig consumer
-/// (ReceiverPath, PathAttrModel, graph_from_config). Throws via MSTS_REQUIRE
+/// (PathGraph, PathAttrModel, graph_from_config). Throws via MSTS_REQUIRE
 /// on the first violated rule:
 ///   * analog_fs must be a positive, finite rate;
 ///   * adc_decimation >= 1;

@@ -70,6 +70,12 @@ std::optional<std::size_t> PathGraphConfig::index_of(BlockKind kind) const {
   return std::nullopt;
 }
 
+std::size_t PathGraphConfig::first_index(BlockKind kind) const {
+  const auto i = index_of(kind);
+  MSTS_REQUIRE(i.has_value(), "path graph has no " + to_string(kind) + " block");
+  return *i;
+}
+
 std::size_t PathGraphConfig::count(BlockKind kind) const {
   std::size_t n = 0;
   for (const BlockConfig& b : blocks) {
@@ -79,9 +85,7 @@ std::size_t PathGraphConfig::count(BlockKind kind) const {
 }
 
 std::size_t PathGraphConfig::adc_decimation() const {
-  const auto adc = index_of(BlockKind::kAdc);
-  MSTS_REQUIRE(adc.has_value(), "path graph needs an ADC block");
-  return blocks[*adc].adc_decimation;
+  return first(BlockKind::kAdc).adc_decimation;
 }
 
 namespace {
@@ -159,6 +163,49 @@ void validate(const PathGraphConfig& graph) {
   }
 }
 
+PathConfig reference_path_config() {
+  PathConfig c;
+  c.analog_fs = 32.0e6;
+  c.adc_decimation = 8;
+
+  c.amp.gain_db = stats::Uncertain::from_tolerance(15.0, 1.0);
+  c.amp.iip3_dbm = stats::Uncertain::from_tolerance(10.0, 1.5);
+  c.amp.iip2_dbm = stats::Uncertain::from_tolerance(45.0, 3.0);
+  c.amp.p1db_in_dbm = stats::Uncertain::from_tolerance(0.0, 1.0);
+  c.amp.nf_db = stats::Uncertain::from_tolerance(3.0, 0.5);
+  c.amp.dc_offset_v = stats::Uncertain::from_tolerance(0.0, 2e-3);
+
+  c.mixer.conv_gain_db = stats::Uncertain::from_tolerance(10.0, 1.0);
+  c.mixer.iip3_dbm = stats::Uncertain::from_tolerance(2.0, 1.5);
+  c.mixer.p1db_in_dbm = stats::Uncertain::from_tolerance(-8.0, 1.0);
+  c.mixer.lo_isolation_db = stats::Uncertain::from_tolerance(40.0, 4.0);
+  c.mixer.nf_db = stats::Uncertain::from_tolerance(8.0, 1.0);
+
+  c.lo.freq_hz = 10.0e6;
+  c.lo.freq_error_ppm = stats::Uncertain::from_tolerance(0.0, 10.0);
+  c.lo.phase_noise_rad = stats::Uncertain::from_tolerance(2e-4, 1e-4);
+
+  c.lpf.cutoff_hz = stats::Uncertain::from_tolerance(1.0e6, 5.0e4);
+  c.lpf.passband_gain_db = stats::Uncertain::from_tolerance(0.0, 0.5);
+  c.lpf.order = 4;
+  // 6.4 MHz: folds to 1.6 MHz at the 4 MHz digital rate, so the spur stays
+  // observable (a clock at a multiple of the digital rate would alias to DC).
+  c.lpf.clock_hz = 6.4e6;
+  c.lpf.clock_spur_v = stats::Uncertain::from_tolerance(200e-6, 100e-6);
+
+  c.adc.bits = 12;
+  c.adc.vref = 0.5;
+  c.adc.offset_error_v = stats::Uncertain::from_tolerance(0.0, 1e-3);
+  c.adc.gain_error = stats::Uncertain::from_tolerance(0.0, 0.01);
+  c.adc.inl_peak_lsb = stats::Uncertain::from_tolerance(0.5, 0.3);
+  c.adc.dnl_sigma_lsb = stats::Uncertain::from_tolerance(0.2, 0.1);
+
+  c.fir_taps = 13;
+  c.fir_cutoff_norm = 0.3;
+  c.fir_coeff_frac_bits = 10;
+  return c;
+}
+
 PathGraphConfig graph_from_config(const PathConfig& config) {
   validate(config);
   PathGraphConfig g;
@@ -213,7 +260,7 @@ PathGraph::Stage manufacture(const BlockConfig& b, int adc_bits,
 
 std::vector<PathGraph::Stage> manufacture_all(const PathGraphConfig& config,
                                               stats::Rng* rng) {
-  const int adc_bits = config.blocks[*config.index_of(BlockKind::kAdc)].adc.bits;
+  const int adc_bits = config.first(BlockKind::kAdc).adc.bits;
   std::vector<PathGraph::Stage> stages;
   stages.reserve(config.blocks.size());
   for (const BlockConfig& b : config.blocks) {
@@ -222,39 +269,24 @@ std::vector<PathGraph::Stage> manufacture_all(const PathGraphConfig& config,
   return stages;
 }
 
-BlockKind kind_of_stage(const PathGraph::Stage& s) {
-  if (std::holds_alternative<analog::Amplifier>(s)) return BlockKind::kAmp;
-  if (std::holds_alternative<PathGraph::MixerStage>(s)) return BlockKind::kMixer;
-  if (std::holds_alternative<analog::LowPassFilter>(s)) return BlockKind::kLpf;
-  if (std::holds_alternative<PathGraph::AdcStage>(s)) return BlockKind::kAdc;
-  return BlockKind::kFir;
-}
-
 }  // namespace
 
-PathGraph::PathGraph(PathGraphConfig config, std::vector<Stage> stages)
-    : config_(std::move(config)), stages_(std::move(stages)) {
-  validate(config_);
-  MSTS_REQUIRE(stages_.size() == config_.blocks.size(),
-               "stage list must match the graph block-for-block");
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    MSTS_REQUIRE(kind_of_stage(stages_[i]) == config_.blocks[i].kind,
-                 "stage kind must match the graph block kind");
-  }
-  adc_index_ = *config_.index_of(BlockKind::kAdc);
-}
+PathGraph::PathGraph(const PathGraphConfig& config, stats::Rng* rng)
+    : config_((validate(config), config)),
+      stages_(manufacture_all(config_, rng)),
+      adc_index_(config_.first_index(BlockKind::kAdc)) {}
 
-PathGraph::PathGraph(const PathGraphConfig& config)
-    : PathGraph(config, (validate(config), manufacture_all(config, nullptr))) {}
+PathGraph::PathGraph(const PathGraphConfig& config) : PathGraph(config, nullptr) {}
+
+PathGraph::PathGraph(const PathConfig& config)
+    : PathGraph(graph_from_config(config), nullptr) {}
 
 PathGraph PathGraph::sampled(const PathGraphConfig& config, stats::Rng& rng) {
-  validate(config);
-  return PathGraph(config, manufacture_all(config, &rng));
+  return PathGraph(config, &rng);
 }
 
-PathGraph PathGraph::from_stages(const PathGraphConfig& config,
-                                 std::vector<Stage> stages) {
-  return PathGraph(config, std::move(stages));
+PathGraph PathGraph::sampled(const PathConfig& config, stats::Rng& rng) {
+  return PathGraph(graph_from_config(config), &rng);
 }
 
 const analog::Amplifier& PathGraph::amp_at(std::size_t i) const {
@@ -292,6 +324,28 @@ const PathGraph::FirStage& PathGraph::fir_at(std::size_t i) const {
   return *s;
 }
 
+const analog::Amplifier& PathGraph::amp() const {
+  return amp_at(config_.first_index(BlockKind::kAmp));
+}
+
+const analog::Mixer& PathGraph::mixer() const {
+  return mixer_at(config_.first_index(BlockKind::kMixer)).mixer;
+}
+
+const analog::LocalOscillator& PathGraph::lo() const {
+  return mixer_at(config_.first_index(BlockKind::kMixer)).lo;
+}
+
+const analog::LowPassFilter& PathGraph::lpf() const {
+  return lpf_at(config_.first_index(BlockKind::kLpf));
+}
+
+const analog::Adc& PathGraph::adc() const { return adc_at(adc_index_).adc; }
+
+const PathGraph::FirStage& PathGraph::fir() const {
+  return fir_at(config_.first_index(BlockKind::kFir));
+}
+
 PathGraph::Trace PathGraph::run(const analog::Signal& rf,
                                 stats::Rng& noise_rng) const {
   GraphWorkspace ws;
@@ -310,10 +364,8 @@ const PathGraph::Trace& PathGraph::run(const analog::Signal& rf,
                         : "path.graph.workspace.grow");
   t.analog_stages.resize(adc_index_);
 
-  // The stage walk mirrors ReceiverPath::run operation-for-operation on the
-  // canonical graph, including the RNG draw order (amp noise, LO waveform,
-  // mixer noise) — that is the bit-identity contract the differential pair
-  // in src/check enforces.
+  // Noise draws follow the stage order; a mixer stage generates its LO
+  // waveform before the mixer's own noise.
   const analog::Signal* cur = &rf;
   for (std::size_t i = 0; i < adc_index_; ++i) {
     analog::Signal& out = t.analog_stages[i];

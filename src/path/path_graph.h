@@ -1,14 +1,12 @@
 // Composable path graphs: a declarative, ordered block list that a runnable
-// path is composed from — instead of the hard-coded amp→mixer→lpf→adc→fir
-// chain of ReceiverPath.
+// path is composed from.
 //
 // The paper's methodology (attribute propagation, translation, FCL/YL) is
 // defined over an arbitrary mixed-signal path; a PathGraphConfig makes the
 // path structure itself data: any arrangement of amplifier / mixer(+LO) /
 // low-pass-filter blocks in front of exactly one ADC, optionally followed by
-// one digital FIR block. The canonical receiver is just one instance —
-// graph_from_config(PathConfig) produces it, and ReceiverPath executes it
-// bit-identically to the graph walk (differential-checked in src/check).
+// one digital FIR block. The canonical receiver of Fig. 6 is just one
+// instance — graph_from_config(PathConfig) produces it.
 //
 // The same BlockConfig list drives three layers:
 //   * PathGraph       — the transient simulator (this header),
@@ -75,6 +73,9 @@ struct PathGraphConfig {
 
   /// Index of the first block of `kind` (nullopt when absent).
   std::optional<std::size_t> index_of(BlockKind kind) const;
+  /// Index of the first block of `kind`; throws naming the kind when absent.
+  std::size_t first_index(BlockKind kind) const;
+  const BlockConfig& first(BlockKind kind) const { return blocks[first_index(kind)]; }
   /// Number of blocks of `kind`.
   std::size_t count(BlockKind kind) const;
   /// Decimation of the (single) ADC block; requires a valid graph.
@@ -119,18 +120,15 @@ class PathGraph {
 
   /// Every block at its nominal parameters.
   explicit PathGraph(const PathGraphConfig& config);
+  /// The canonical receiver graph_from_config(config) at nominal.
+  explicit PathGraph(const PathConfig& config);
 
-  /// Monte-Carlo instance: blocks sampled in graph order (within a mixer
-  /// stage, the mixer draws before its LO). New code should prefer this;
-  /// ReceiverPath::sampled keeps its legacy draw order via from_stages().
+  /// Monte-Carlo instance. Blocks draw in graph order, a mixer before its
+  /// LO, and each block draws its fields in declaration order (see the
+  /// analog headers), so a seed names the same device on every compiler.
   static PathGraph sampled(const PathGraphConfig& config, stats::Rng& rng);
-
-  /// Assembles a graph from blocks manufactured elsewhere. `stages` must
-  /// match `config` block-for-block (kind-checked); this is how ReceiverPath
-  /// re-expresses itself over the graph without changing the RNG draw order
-  /// of its historical sampled() constructor.
-  static PathGraph from_stages(const PathGraphConfig& config,
-                               std::vector<Stage> stages);
+  /// sampled() of the canonical receiver graph_from_config(config).
+  static PathGraph sampled(const PathConfig& config, stats::Rng& rng);
 
   /// Everything a transient run produces.
   struct Trace {
@@ -168,20 +166,32 @@ class PathGraph {
   const AdcStage& adc_at(std::size_t i) const;
   const FirStage& fir_at(std::size_t i) const;
 
+  /// The first block of each kind (the rule the translator and the
+  /// measurements use); each throws naming the kind when the graph has none.
+  const analog::Amplifier& amp() const;
+  const analog::Mixer& mixer() const;
+  const analog::LocalOscillator& lo() const;
+  const analog::LowPassFilter& lpf() const;
+  const analog::Adc& adc() const;
+  const FirStage& fir() const;
+
   /// Exact magnitude response of the FIR block at frequency f (digital
   /// rate); 1.0 when the graph has no FIR block.
   double fir_magnitude_at(double f) const;
 
  private:
-  PathGraph(PathGraphConfig config, std::vector<Stage> stages);
+  /// Nominal when `rng` is null, sampled from it otherwise.
+  PathGraph(const PathGraphConfig& config, stats::Rng* rng);
 
   PathGraphConfig config_;
   std::vector<Stage> stages_;
   std::size_t adc_index_ = 0;
 };
 
-/// Reusable buffer set for repeated PathGraph transients (one per thread;
-/// same contract as PathWorkspace in path/workspace.h).
+/// Reusable buffer set for repeated transients. Passing the same workspace
+/// to consecutive runs makes them allocation-free at steady state; every
+/// buffer is overwritten per run, so results stay bit-identical to the
+/// allocating run(). Not thread-safe: use one per thread.
 struct GraphWorkspace {
   PathGraph::Trace trace;      ///< Result of the most recent run().
   analog::Signal lo_wave;      ///< LO waveform (internal to a mixer stage).

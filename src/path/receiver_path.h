@@ -1,101 +1,18 @@
 // The experimental signal path of the paper (Fig. 6):
 //   Amp -> Mixer (with LO) -> switched-cap LPF -> ADC -> digital FIR filter.
 //
-// A ReceiverPath instance bundles one manufactured copy of every block plus
-// the digital filter's coefficient set, and runs transient simulations from
-// the primary RF input to the digital filter output — the only two points a
-// translated test may touch.
-//
-// Since the path-graph layer landed (path/path_graph.h), ReceiverPath is the
-// canonical instance of a composable PathGraph: it holds the graph built by
-// graph_from_config() and its run() is bit-identical to the generic graph
-// walk (enforced by a differential pair in src/check). The class survives as
-// the ergonomic front door for the Fig. 6 chain — its named Trace fields and
-// block accessors — while new topologies use PathGraph directly.
+// One manufactured receiver is the canonical PathGraph instance,
+// graph_from_config(config): PathGraph(config) builds it at nominal,
+// PathGraph::sampled(config, rng) draws it, and amp() / mixer() / lo() /
+// lpf() / adc() / fir() name its blocks. Transient runs go from the primary
+// RF input to the digital filter output — the only two points a translated
+// test may touch. The name survives for the Fig. 6 chain's callers.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "analog/adc.h"
-#include "analog/amp.h"
-#include "analog/lo.h"
-#include "analog/lpf.h"
-#include "analog/mixer.h"
-#include "analog/signal.h"
-#include "path/path_config.h"
 #include "path/path_graph.h"
-#include "stats/rng.h"
 
 namespace msts::path {
 
-struct PathWorkspace;  // path/workspace.h
-
-/// One manufactured path.
-class ReceiverPath {
- public:
-  /// Path with every block at its nominal parameters.
-  explicit ReceiverPath(const PathConfig& config);
-
-  /// Monte-Carlo path: every block parameter drawn from its tolerance.
-  static ReceiverPath sampled(const PathConfig& config, stats::Rng& rng);
-
-  /// Everything a transient run produces. Intermediate waveforms are
-  /// exposed for validation and plots; translated tests only use adc codes /
-  /// filter output.
-  struct Trace {
-    analog::Signal after_amp;
-    analog::Signal after_mixer;
-    analog::Signal after_lpf;
-    std::vector<std::int64_t> adc_codes;
-    std::vector<std::int64_t> filter_out;  ///< Full-precision FIR output.
-    double digital_fs = 0.0;
-  };
-
-  /// Drives the RF input waveform through the whole path.
-  Trace run(const analog::Signal& rf, stats::Rng& noise_rng) const;
-
-  /// Same transient, but every intermediate buffer lives in `ws` and is
-  /// reused across calls (see path/workspace.h). Returns ws.trace; the
-  /// reference stays valid until the next run with the same workspace.
-  /// Bit-identical to the allocating overload.
-  const Trace& run(const analog::Signal& rf, stats::Rng& noise_rng,
-                   PathWorkspace& ws) const;
-
-  /// Converts the integer filter output to volts (undoes the ADC LSB and the
-  /// coefficient scaling), so spectra are comparable with the analog nodes.
-  std::vector<double> filter_output_volts(const Trace& trace) const;
-
-  /// filter_output_volts() into a caller-owned buffer (resized; capacity
-  /// reused).
-  void filter_output_volts_into(const Trace& trace, std::vector<double>& out) const;
-
-  /// ADC codes as volts (for observing the path without the digital filter).
-  std::vector<double> adc_output_volts(const Trace& trace) const;
-
-  const PathConfig& config() const { return config_; }
-  /// The canonical graph this path is an instance of.
-  const PathGraph& graph() const { return graph_; }
-  const analog::Amplifier& amp() const { return graph_.amp_at(0); }
-  const analog::Mixer& mixer() const { return graph_.mixer_at(1).mixer; }
-  const analog::LocalOscillator& lo() const { return graph_.mixer_at(1).lo; }
-  const analog::LowPassFilter& lpf() const { return graph_.lpf_at(2); }
-  const analog::Adc& adc() const { return graph_.adc_at(3).adc; }
-  const std::vector<std::int32_t>& fir_coeffs() const {
-    return graph_.fir_at(4).coeffs;
-  }
-
-  /// Known magnitude response of the digital filter at frequency f (digital
-  /// rate); deterministic, so measurements can divide it out — the paper's
-  /// "digital filter can be modeled as an analog filter ... no added noise".
-  double fir_magnitude_at(double f) const;
-
- private:
-  ReceiverPath(const PathConfig& config, analog::Amplifier amp, analog::Mixer mixer,
-               analog::LocalOscillator lo, analog::LowPassFilter lpf, analog::Adc adc);
-
-  PathConfig config_;
-  PathGraph graph_;
-};
+using ReceiverPath = PathGraph;
 
 }  // namespace msts::path

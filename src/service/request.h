@@ -24,7 +24,6 @@
 #include "core/synthesizer.h"
 #include "path/measurements.h"
 #include "path/path_graph.h"
-#include "path/receiver_path.h"
 
 namespace msts::service {
 

@@ -202,7 +202,7 @@ TEST(PathAttrModel, AgreesWithTransientSimulation) {
   // path gain within its own worst-case band (nominal path here).
   const auto c = cfg();
   const PathAttrModel model(c);
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(c);
   stats::Rng rng(21);
   path::MeasureOptions opts;
   opts.digital_record = 2048;
@@ -219,7 +219,7 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
   // trades that into the mask margin).
   const auto c = cfg();
   const PathAttrModel model(c);
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(c);
   stats::Rng rng(22);
 
   const double amp_pi = 2e-3;
@@ -235,7 +235,10 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
   const dsp::Tone t{f_rf, amp_pi, 0.0};
   rf.samples = dsp::generate_tones(std::span(&t, 1), 0.0, c.analog_fs, 2048 * 8);
   const auto trace = path.run(rf, rng);
-  const auto volts = path.adc_output_volts(trace);
+  std::vector<double> volts;
+  for (const std::int64_t code : trace.adc_codes) {
+    volts.push_back(static_cast<double>(code) * path.adc().lsb());
+  }
   dsp::AnalysisOptions ao;
   ao.fundamentals = {400e3};
   const auto rep = dsp::analyze_spectrum(

@@ -103,7 +103,7 @@ TEST(DigitalTester, SpectralCampaignGoodCircuitStaysInsideMask) {
   const auto c = cfg();
   const DigitalTester tester(c);
   const auto plan = tester.plan(DigitalTestOptions{});
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(c);
   stats::Rng rng(51);
   const auto noisy = tester.path_codes(plan, path, rng);
   const auto ideal = tester.ideal_codes(plan);
@@ -119,7 +119,7 @@ TEST(DigitalTester, SpectralCoverageBelowExactCoverage) {
   const auto c = cfg();
   const DigitalTester tester(c);
   const auto plan = tester.plan(DigitalTestOptions{});
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(c);
   stats::Rng rng(52);
   const auto noisy = tester.path_codes(plan, path, rng);
   const auto ideal = tester.ideal_codes(plan);
@@ -132,7 +132,7 @@ TEST(DigitalTester, SpectralCoverageBelowExactCoverage) {
 TEST(DigitalTester, LargerMaskMarginLowersCoverage) {
   const auto c = cfg();
   const DigitalTester tester(c);
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(c);
   const auto faults = subsample(tester.faults(), 200);
 
   DigitalTestOptions tight;

@@ -1,17 +1,21 @@
 // Tests for the composable path-graph layer (path/path_graph.h): the
 // centralized construction-time validation rules, canonical graph
-// derivation, composition of non-canonical topologies, and the runtime
-// contracts (workspace identity, volts conversion, from_stages checks).
-// The bit-identity of the graph walk against ReceiverPath::run is covered
-// by the differential pair in src/check (test_differential.cpp).
+// derivation, composition of non-canonical topologies, the runtime
+// contracts (workspace identity, volts conversion, first-of-kind accessors)
+// and the compiler-independent draw order of sampled devices.
 #include "path/path_graph.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "analog/sigma_delta.h"
 #include "dsp/tonegen.h"
 #include "path/receiver_path.h"
+#include "stats/monte_carlo.h"
 
 namespace msts::path {
 namespace {
@@ -269,39 +273,181 @@ TEST(PathGraph, SampledIsDeterministicPerSeed) {
   EXPECT_NE(ta.filter_out, tc.filter_out);
 }
 
-TEST(PathGraph, RejectsWrongSampleRateAndMismatchedStages) {
-  const PathGraphConfig cfg = canonical_graph();
-  const PathGraph g(cfg);
-  stats::Rng rng(1);
-  analog::Signal bad;
-  bad.fs = 1.0e6;
-  bad.samples.assign(64, 0.0);
-  EXPECT_THROW(g.run(bad, rng), std::invalid_argument);
+TEST(PathGraph, ReceiverPathExposesItsGraph) {
+  // ReceiverPath names the canonical graph; the named block accessors
+  // resolve to the first block of each kind.
+  const ReceiverPath p(reference_path_config());
+  ASSERT_EQ(p.size(), 5u);
+  EXPECT_EQ(p.kind_at(0), BlockKind::kAmp);
+  EXPECT_EQ(p.kind_at(4), BlockKind::kFir);
+  EXPECT_EQ(&p.amp(), &p.amp_at(0));
+  EXPECT_EQ(&p.mixer(), &p.mixer_at(1).mixer);
+  EXPECT_EQ(&p.lo(), &p.mixer_at(1).lo);
+  EXPECT_EQ(&p.lpf(), &p.lpf_at(2));
+  EXPECT_EQ(&p.adc(), &p.adc_at(3).adc);
+  EXPECT_EQ(&p.fir(), &p.fir_at(4));
 
-  // from_stages is kind-checked against the block list.
-  std::vector<PathGraph::Stage> too_few;
-  too_few.emplace_back(analog::Amplifier(cfg.blocks[0].amp));
-  EXPECT_THROW(PathGraph::from_stages(cfg, std::move(too_few)),
-               std::invalid_argument);
-
-  std::vector<PathGraph::Stage> wrong_kind;
-  wrong_kind.emplace_back(analog::LowPassFilter(cfg.blocks[2].lpf));  // not an amp
-  wrong_kind.emplace_back(PathGraph::MixerStage{
-      analog::Mixer(cfg.blocks[1].mixer), analog::LocalOscillator(cfg.blocks[1].lo)});
-  wrong_kind.emplace_back(analog::LowPassFilter(cfg.blocks[2].lpf));
-  wrong_kind.emplace_back(
-      PathGraph::AdcStage{analog::Adc(cfg.blocks[3].adc), cfg.blocks[3].adc_decimation});
-  wrong_kind.emplace_back(PathGraph::FirStage{{1, 2, 1}, 10, 12});
-  EXPECT_THROW(PathGraph::from_stages(cfg, std::move(wrong_kind)),
-               std::invalid_argument);
+  PathGraphConfig no_amp = canonical_graph();
+  no_amp.blocks.erase(no_amp.blocks.begin());
+  const PathGraph g(no_amp);
+  EXPECT_EQ(&g.lpf(), &g.lpf_at(1));
+  try {
+    (void)g.amp();
+    ADD_FAILURE() << "amp() on a graph without an amplifier must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("path graph has no amp block"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(PathGraph, ReceiverPathExposesItsGraph) {
-  const ReceiverPath p(reference_path_config());
-  EXPECT_EQ(p.graph().size(), 5u);
-  EXPECT_EQ(p.graph().kind_at(0), BlockKind::kAmp);
-  EXPECT_EQ(p.graph().kind_at(4), BlockKind::kFir);
-  EXPECT_EQ(p.fir_coeffs().size(), p.graph().fir_at(4).coeffs.size());
+// ---------------------------------------------------------------------------
+// Draw order of sampled devices: graph order, each block's fields in
+// declaration order — never the compiler's argument-evaluation order.
+// ---------------------------------------------------------------------------
+
+// Every drawn parameter a block exposes. The ADC's INL curve carries its
+// DNL sigma and pattern seed.
+std::vector<double> params(const analog::Amplifier& a) {
+  return {a.actual_gain_db(), a.actual_iip3_dbm(), a.actual_p1db_in_dbm(),
+          a.actual_nf_db(), a.actual_dc_offset_v()};
+}
+std::vector<double> params(const analog::Mixer& m) {
+  return {m.actual_conv_gain_db(), m.actual_iip3_dbm(), m.actual_p1db_in_dbm(),
+          m.actual_lo_isolation_db(), m.actual_nf_db()};
+}
+std::vector<double> params(const analog::LocalOscillator& lo) {
+  return {lo.actual_freq_error_ppm(), lo.actual_phase_noise_rad()};
+}
+std::vector<double> params(const analog::LowPassFilter& f) {
+  return {f.actual_cutoff_hz(), f.actual_passband_gain_db(), f.actual_clock_spur_v()};
+}
+std::vector<double> params(const analog::Adc& a) {
+  std::vector<double> v = {a.actual_offset_error_v(), a.actual_gain_error(),
+                           a.actual_inl_peak_lsb()};
+  for (const double u : {-0.9, -0.4, 0.1, 0.6}) v.push_back(a.inl_at(u));
+  return v;
+}
+
+// Both streams sit at the same point, including a cached normal deviate.
+void expect_same_stream(stats::Rng a, stats::Rng b) {
+  EXPECT_EQ(a.normal(), b.normal());
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// Samples each block of g's graph in graph order from `by_hand`, a copy of
+// the stream g was drawn from, checks g holds the same blocks, and returns
+// the stream where sampling g must have left it.
+stats::Rng redraw_in_graph_order(const PathGraph& g, stats::Rng by_hand) {
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const BlockConfig& b = g.config().blocks[i];
+    switch (b.kind) {
+      case BlockKind::kAmp:
+        EXPECT_EQ(params(g.amp_at(i)), params(analog::Amplifier::sampled(b.amp, by_hand)))
+            << "block " << i;
+        break;
+      case BlockKind::kMixer: {
+        const analog::Mixer mixer = analog::Mixer::sampled(b.mixer, by_hand);
+        const auto lo = analog::LocalOscillator::sampled(b.lo, by_hand);
+        EXPECT_EQ(params(g.mixer_at(i).mixer), params(mixer)) << "block " << i;
+        EXPECT_EQ(params(g.mixer_at(i).lo), params(lo)) << "block " << i;
+        break;
+      }
+      case BlockKind::kLpf:
+        EXPECT_EQ(params(g.lpf_at(i)),
+                  params(analog::LowPassFilter::sampled(b.lpf, by_hand)))
+            << "block " << i;
+        break;
+      case BlockKind::kAdc:
+        EXPECT_EQ(params(g.adc_at(i).adc), params(analog::Adc::sampled(b.adc, by_hand)))
+            << "block " << i;
+        break;
+      case BlockKind::kFir:
+        break;
+    }
+  }
+  return by_hand;
+}
+
+TEST(DrawOrder, GraphSamplesBlocksInGraphOrder) {
+  PathGraphConfig if_amp = canonical_graph();
+  std::swap(if_amp.blocks[0], if_amp.blocks[1]);
+  for (const PathGraphConfig& cfg : {canonical_graph(), if_amp}) {
+    stats::Rng rng(42);
+    const stats::Rng copy = rng;
+    const PathGraph g = PathGraph::sampled(cfg, rng);
+    expect_same_stream(rng, redraw_in_graph_order(g, copy));
+  }
+  // The flat spelling draws the canonical graph the same way.
+  stats::Rng rng(42);
+  const stats::Rng copy = rng;
+  const ReceiverPath r = ReceiverPath::sampled(reference_path_config(), rng);
+  expect_same_stream(rng, redraw_in_graph_order(r, copy));
+}
+
+TEST(DrawOrder, BlocksDrawFieldsInDeclarationOrder) {
+  const PathConfig c = reference_path_config();
+  {
+    stats::Rng rng(7), by_hand(7);
+    const auto a = analog::Amplifier::sampled(c.amp, rng);
+    const double gain = stats::sample(c.amp.gain_db, by_hand);
+    const double iip3 = stats::sample(c.amp.iip3_dbm, by_hand);
+    (void)stats::sample(c.amp.iip2_dbm, by_hand);  // no accessor
+    const double p1db = stats::sample(c.amp.p1db_in_dbm, by_hand);
+    const double nf = std::max(0.0, stats::sample(c.amp.nf_db, by_hand));
+    const double dc = stats::sample(c.amp.dc_offset_v, by_hand);
+    EXPECT_EQ(params(a), (std::vector<double>{gain, iip3, p1db, nf, dc}));
+    expect_same_stream(rng, by_hand);
+  }
+  {
+    stats::Rng rng(7), by_hand(7);
+    const auto m = analog::Mixer::sampled(c.mixer, rng);
+    const double gain = stats::sample(c.mixer.conv_gain_db, by_hand);
+    const double iip3 = stats::sample(c.mixer.iip3_dbm, by_hand);
+    const double p1db = stats::sample(c.mixer.p1db_in_dbm, by_hand);
+    const double iso = stats::sample(c.mixer.lo_isolation_db, by_hand);
+    const double nf = std::max(0.0, stats::sample(c.mixer.nf_db, by_hand));
+    EXPECT_EQ(params(m), (std::vector<double>{gain, iip3, p1db, iso, nf}));
+    expect_same_stream(rng, by_hand);
+  }
+  {
+    stats::Rng rng(7), by_hand(7);
+    const auto lo = analog::LocalOscillator::sampled(c.lo, rng);
+    const double ppm = stats::sample(c.lo.freq_error_ppm, by_hand);
+    const double pn = std::max(0.0, stats::sample(c.lo.phase_noise_rad, by_hand));
+    EXPECT_EQ(params(lo), (std::vector<double>{ppm, pn}));
+    expect_same_stream(rng, by_hand);
+  }
+  {
+    stats::Rng rng(7), by_hand(7);
+    const auto f = analog::LowPassFilter::sampled(c.lpf, rng);
+    const double fc = stats::sample(c.lpf.cutoff_hz, by_hand);
+    const double gain = stats::sample(c.lpf.passband_gain_db, by_hand);
+    const double spur = std::abs(stats::sample(c.lpf.clock_spur_v, by_hand));
+    EXPECT_EQ(params(f), (std::vector<double>{fc, gain, spur}));
+    expect_same_stream(rng, by_hand);
+  }
+  {
+    // DNL sigma and the pattern seed (drawn last) shape only the INL table.
+    stats::Rng rng(7), by_hand(7);
+    const auto a = analog::Adc::sampled(c.adc, rng);
+    EXPECT_EQ(a.actual_offset_error_v(), stats::sample(c.adc.offset_error_v, by_hand));
+    EXPECT_EQ(a.actual_gain_error(), stats::sample(c.adc.gain_error, by_hand));
+    EXPECT_EQ(a.actual_inl_peak_lsb(), stats::sample(c.adc.inl_peak_lsb, by_hand));
+    (void)stats::sample(c.adc.dnl_sigma_lsb, by_hand);
+    (void)by_hand.next_u64();
+    expect_same_stream(rng, by_hand);
+  }
+  {
+    const analog::SigmaDeltaParams p;
+    stats::Rng rng(7), by_hand(7);
+    const auto m = analog::SigmaDeltaModulator::sampled(p, rng);
+    EXPECT_EQ(m.actual_integrator_gain(),
+              1.0 + stats::sample(p.integrator_gain_error, by_hand));
+    (void)stats::sample(p.integrator_leak, by_hand);  // no accessor
+    EXPECT_EQ(m.actual_dac_mismatch_v(), stats::sample(p.dac_mismatch_v, by_hand));
+    expect_same_stream(rng, by_hand);
+  }
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "digital/fir.h"
 #include "dsp/tonegen.h"
 #include "path/measurements.h"
-#include "path/workspace.h"
 
 namespace msts::path {
 namespace {
@@ -36,11 +35,11 @@ TEST(ReceiverPath, TraceHasConsistentDimensions) {
   const ReceiverPath path(c);
   stats::Rng rng(1);
   const auto trace = path.run(rf_tone(c, 500e3, 1e-3, 1024), rng);
-  EXPECT_EQ(trace.after_amp.size(), 1024u * c.adc_decimation);
+  EXPECT_EQ(trace.analog_stages[0].size(), 1024u * c.adc_decimation);
   EXPECT_EQ(trace.adc_codes.size(), 1024u);
   EXPECT_EQ(trace.filter_out.size(), 1024u);
   EXPECT_DOUBLE_EQ(trace.digital_fs, 4.0e6);
-  EXPECT_EQ(path.fir_coeffs().size(), c.fir_taps);
+  EXPECT_EQ(path.fir().coeffs.size(), c.fir_taps);
 }
 
 TEST(ReceiverPath, RejectsWrongSampleRate) {
@@ -53,34 +52,11 @@ TEST(ReceiverPath, RejectsWrongSampleRate) {
   EXPECT_THROW(path.run(bad, rng), std::invalid_argument);
 }
 
-TEST(ReceiverPath, WorkspaceRunIsBitIdenticalToAllocatingRun) {
-  const PathConfig c = reference_path_config();
-  const ReceiverPath path(c);
-  const auto rf = rf_tone(c, 500e3, 1e-3, 1024);
-
-  stats::Rng rng_a(42);
-  const auto fresh = path.run(rf, rng_a);
-
-  // Same RNG seed through the workspace overload, reused across three runs;
-  // a stale byte anywhere in the recycled buffers would break the identity.
-  PathWorkspace ws;
-  for (int round = 0; round < 3; ++round) {
-    stats::Rng rng_b(42);
-    const auto& reused = path.run(rf, rng_b, ws);
-    ASSERT_EQ(reused.adc_codes, fresh.adc_codes) << "round " << round;
-    ASSERT_EQ(reused.filter_out, fresh.filter_out) << "round " << round;
-    ASSERT_EQ(reused.after_amp.samples, fresh.after_amp.samples) << "round " << round;
-    ASSERT_EQ(reused.after_mixer.samples, fresh.after_mixer.samples) << "round " << round;
-    ASSERT_EQ(reused.after_lpf.samples, fresh.after_lpf.samples) << "round " << round;
-    EXPECT_DOUBLE_EQ(reused.digital_fs, fresh.digital_fs);
-  }
-}
-
 TEST(ReceiverPath, WorkspaceSurvivesRecordLengthChanges) {
   // Shrinking then regrowing the record must not leave stale tail samples.
   const PathConfig c = reference_path_config();
   const ReceiverPath path(c);
-  PathWorkspace ws;
+  GraphWorkspace ws;
   for (std::size_t digital_n : {std::size_t{1024}, std::size_t{256}, std::size_t{1024}}) {
     const auto rf = rf_tone(c, 500e3, 1e-3, digital_n);
     stats::Rng rng_a(7);
@@ -96,10 +72,17 @@ TEST(ReceiverPath, FilterOutputVoltsIntoMatchesValueForm) {
   const ReceiverPath path(c);
   stats::Rng rng(3);
   const auto trace = path.run(rf_tone(c, 400e3, 1e-3, 512), rng);
-  const auto by_value = path.filter_output_volts(trace);
+  const auto by_value = path.output_volts(trace);
   std::vector<double> into(3, -99.0);  // wrong size and content on purpose
-  path.filter_output_volts_into(trace, into);
+  path.output_volts_into(trace, into);
   ASSERT_EQ(into, by_value);
+  // The canonical receiver reads the FIR words, scaled by the ADC LSB over
+  // the coefficient scaling.
+  const double scale = path.adc().lsb() / static_cast<double>(1 << c.fir_coeff_frac_bits);
+  ASSERT_EQ(by_value.size(), trace.filter_out.size());
+  for (std::size_t i = 0; i < by_value.size(); ++i) {
+    ASSERT_EQ(by_value[i], static_cast<double>(trace.filter_out[i]) * scale) << i;
+  }
 }
 
 TEST(ReceiverPath, FirBlockMatchesStepwiseModel) {
@@ -108,14 +91,14 @@ TEST(ReceiverPath, FirBlockMatchesStepwiseModel) {
   // inputs around the warm-up boundary.
   const PathConfig c = reference_path_config();
   const ReceiverPath path(c);
-  digital::FirModel model(path.fir_coeffs(), c.adc.bits);
+  digital::FirModel model(path.fir().coeffs, c.adc.bits);
 
   std::vector<std::int64_t> x;
   for (int i = 0; i < 64; ++i) {
     x.push_back(((i * 37) % 4001) - 2000);  // deterministic, in 12-bit range
   }
   std::vector<std::int64_t> block;
-  digital::fir_block_into(path.fir_coeffs(), c.adc.bits, x, block);
+  digital::fir_block_into(path.fir().coeffs, c.adc.bits, x, block);
   ASSERT_EQ(block.size(), x.size());
   model.reset();
   for (std::size_t i = 0; i < x.size(); ++i) {

@@ -4,12 +4,15 @@
 // cross-check columns. Runs under the `sweep` ctest label.
 #include "sweep/sweep.h"
 
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "path/receiver_path.h"
+#include "core/translation.h"
+#include "path/path_graph.h"
 
 namespace msts::sweep {
 namespace {
@@ -81,6 +84,26 @@ TEST(ScenarioMatrix, UnknownTopologyIsRejected) {
   ScenarioMatrix m = default_matrix();
   m.topologies = {"canonical", "typo"};
   EXPECT_THROW(m.expand(), std::invalid_argument);
+}
+
+TEST(Topologies, ExecutedPathGainFallsInsideModelBudget) {
+  // Every sweep topology runs as a transient and is measured through its
+  // primary ports. Nominal devices sit off the model's nominal by their
+  // compression bias, so only the model's worst-case budget is asserted.
+  const path::PathConfig base = path::reference_path_config();
+  const path::MeasureOptions opts;
+  std::map<std::string, double> measured;
+  for (const std::string name : {"canonical", "if-amp", "dual-lpf", "no-amp"}) {
+    const path::PathGraphConfig g = make_topology(name, base);
+    const core::Translator tr(g);
+    stats::Rng noise(31);
+    measured[name] = tr.measure_path_gain_db(path::PathGraph(g), noise, opts);
+    const double f_lo = g.first(path::BlockKind::kMixer).lo.freq_hz;
+    const stats::Uncertain model = tr.model().path_gain_db(f_lo + tr.test_if_freq(opts));
+    EXPECT_NEAR(measured[name], model.nominal, model.wc) << name;
+  }
+  // Dropping the amplifier removes exactly its gain.
+  EXPECT_NEAR(measured["canonical"] - measured["no-amp"], base.amp.gain_db.nominal, 0.05);
 }
 
 TEST(Sweep, RejectsEmptyScenarioList) {

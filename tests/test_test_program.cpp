@@ -23,7 +23,7 @@ TEST(TestProgram, CompositesComeFirst) {
 
 TEST(TestProgram, NominalDevicePassesEverything) {
   const TestProgram prog(cfg(), GuardBandPolicy::kAtTol, fast_opts());
-  const path::ReceiverPath device(cfg());
+  const path::PathGraph device(cfg());
   stats::Rng rng(91);
   const auto log = prog.run(device, rng);
   EXPECT_TRUE(log.pass) << format_datalog(log);
@@ -38,7 +38,7 @@ TEST(TestProgram, DefectiveMixerFailsTheIip3Step) {
   auto bad = cfg();
   bad.mixer.iip3_dbm = stats::Uncertain::exact(-6.0);  // far below 2-sigma limit
   const TestProgram prog(cfg(), GuardBandPolicy::kAtTol, fast_opts());
-  const path::ReceiverPath device(bad);
+  const path::PathGraph device(bad);
   stats::Rng rng(92);
   const auto log = prog.run(device, rng);
   EXPECT_FALSE(log.pass);
@@ -53,7 +53,7 @@ TEST(TestProgram, ShiftedCutoffFailsTheCutoffStep) {
   auto bad = cfg();
   bad.lpf.cutoff_hz = stats::Uncertain::exact(1.25e6);  // outside the window
   const TestProgram prog(cfg(), GuardBandPolicy::kAtTol, fast_opts());
-  const path::ReceiverPath device(bad);
+  const path::PathGraph device(bad);
   stats::Rng rng(93);
   const auto log = prog.run(device, rng);
   EXPECT_FALSE(log.pass);
@@ -66,7 +66,7 @@ TEST(TestProgram, StopOnFailTruncatesTheDatalog) {
   auto bad = cfg();
   bad.lo.freq_error_ppm = stats::Uncertain::exact(40.0);  // fails step 2
   const TestProgram prog(cfg(), GuardBandPolicy::kAtTol, fast_opts());
-  const path::ReceiverPath device(bad);
+  const path::PathGraph device(bad);
   stats::Rng rng(94);
   const auto log = prog.run(device, rng, /*stop_on_fail=*/true);
   EXPECT_FALSE(log.pass);
@@ -99,7 +99,7 @@ TEST(TestProgram, MarginalDeviceCaughtOnlyByTightLimits) {
   auto marginal = cfg();
   const auto& p = cfg().mixer.iip3_dbm;
   marginal.mixer.iip3_dbm = stats::Uncertain::exact(p.nominal - 2.0 * p.sigma - 0.2);
-  const path::ReceiverPath device(marginal);
+  const path::PathGraph device(marginal);
   const TestProgram tight(cfg(), GuardBandPolicy::kPlusErr, fast_opts());
   const TestProgram loose(cfg(), GuardBandPolicy::kMinusErr, fast_opts());
   stats::Rng r1(95), r2(96);
@@ -109,7 +109,7 @@ TEST(TestProgram, MarginalDeviceCaughtOnlyByTightLimits) {
 
 TEST(TestProgram, DatalogFormatsReadably) {
   const TestProgram prog(cfg(), GuardBandPolicy::kAtTol, fast_opts());
-  const path::ReceiverPath device(cfg());
+  const path::PathGraph device(cfg());
   stats::Rng rng(97);
   const std::string text = format_datalog(prog.run(device, rng));
   EXPECT_NE(text.find("path_gain"), std::string::npos);

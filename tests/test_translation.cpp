@@ -79,7 +79,7 @@ TEST(Translator, MeasuredPathGainTracksSampledPath) {
   stats::Rng mc(31);
   stats::Rng noise(32);
   for (int i = 0; i < 3; ++i) {
-    const auto path = path::ReceiverPath::sampled(c, mc);
+    const auto path = path::PathGraph::sampled(c, mc);
     const double g = tr.measure_path_gain_db(path, noise, fast_opts());
     const double actual = path.amp().actual_gain_db() +
                           path.mixer().actual_conv_gain_db() +
@@ -95,7 +95,7 @@ TEST(Translator, TranslatedIip3WithinAnalysisError) {
   stats::Rng mc(33);
   stats::Rng noise(34);
   for (int i = 0; i < 3; ++i) {
-    const auto path = path::ReceiverPath::sampled(c, mc);
+    const auto path = path::PathGraph::sampled(c, mc);
     const double est = tr.measure_mixer_iip3_dbm(path, noise, /*adaptive=*/true,
                                                  fast_opts());
     const double actual = path.mixer().actual_iip3_dbm();
@@ -112,7 +112,7 @@ TEST(Translator, AdaptiveIip3BeatsNominalOnGainSkewedPath) {
   c.lpf.passband_gain_db = stats::Uncertain::exact(0.5);        // +0.5 dB corner
   const path::PathConfig nominal_cfg = cfg();
   const Translator tr(nominal_cfg);  // translator believes nominal gains
-  const path::ReceiverPath skewed(c);
+  const path::PathGraph skewed(c);
   stats::Rng n1(35), n2(36);
   const double est_adaptive =
       tr.measure_mixer_iip3_dbm(skewed, n1, true, fast_opts());
@@ -126,7 +126,7 @@ TEST(Translator, TranslatedP1dbTracksActual) {
   const auto c = cfg();
   const Translator tr(c);
   stats::Rng mc(37), noise(38);
-  const auto path = path::ReceiverPath::sampled(c, mc);
+  const auto path = path::PathGraph::sampled(c, mc);
   const double est = tr.measure_mixer_p1db_dbm(path, noise, fast_opts());
   EXPECT_NEAR(est, path.mixer().actual_p1db_in_dbm(),
               tr.analyze_mixer_p1db().error.wc + 1.5);
@@ -136,7 +136,7 @@ TEST(Translator, TranslatedCutoffTracksActual) {
   const auto c = cfg();
   const Translator tr(c);
   stats::Rng mc(39), noise(40);
-  const auto path = path::ReceiverPath::sampled(c, mc);
+  const auto path = path::PathGraph::sampled(c, mc);
   const double est = tr.measure_lpf_cutoff_hz(path, noise, fast_opts());
   EXPECT_NEAR(est, path.lpf().actual_cutoff_hz(), 0.1 * c.lpf.cutoff_hz.nominal);
 }
@@ -145,7 +145,7 @@ TEST(Translator, LoFrequencyErrorMeasured) {
   auto c = cfg();
   c.lo.freq_error_ppm = stats::Uncertain::exact(-6.0);
   const Translator tr(c);
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(c);
   stats::Rng noise(41);
   const double est = tr.measure_lo_freq_error_ppm(path, noise, fast_opts());
   // Estimation floor is set by the LO phase noise over the record (~2 ppm).
