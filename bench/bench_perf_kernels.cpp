@@ -1,7 +1,8 @@
 // Performance microbenchmarks of the toolkit's kernels (google-benchmark):
 // FFT, spectral analysis, gate-level fault simulation, path transient
-// simulation and attribute propagation. These bound how long a full test
-// synthesis + evaluation run takes.
+// simulation, attribute propagation, test-plan synthesis and the FCL/YL
+// evaluation. These bound how long a full test synthesis + evaluation run
+// takes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "path/measurements.h"
 #include "path/path_graph.h"
 #include "stats/rng.h"
+#include "stats/yield.h"
 
 using namespace msts;
 
@@ -179,6 +181,23 @@ static void BM_TestPlanSynthesis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TestPlanSynthesis);
+
+// One Table 2 row (the IIP3 study at Thr=Tol: N(2, 0.5) dBm, spec >= 1 dBm,
+// error +/-1.05 dB worst case or sigma 0.35 dB) under each error model: none
+// and uniform take the piecewise-linear closed form, Gaussian the
+// bivariate-normal rectangles, which no synthesis default reaches.
+static void BM_EvaluateTest(benchmark::State& state, stats::ErrorModel error) {
+  const stats::Normal population{2.0, 0.5};
+  const auto spec = stats::SpecLimits::at_least(1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(error);
+    const stats::TestOutcome out = stats::evaluate_test(population, spec, spec, error);
+    benchmark::DoNotOptimize(out.fault_coverage_loss);
+  }
+}
+BENCHMARK_CAPTURE(BM_EvaluateTest, none, stats::ErrorModel::none());
+BENCHMARK_CAPTURE(BM_EvaluateTest, uniform, stats::ErrorModel::uniform(1.05));
+BENCHMARK_CAPTURE(BM_EvaluateTest, gaussian, stats::ErrorModel::gaussian(0.35));
 
 namespace {
 

@@ -10,6 +10,7 @@
 #include "base/simd.h"
 #include "base/units.h"
 #include "check/generators.h"
+#include "check/yield_quadrature.h"
 #include "digital/fault_sim.h"
 #include "digital/faults.h"
 #include "dsp/fft.h"
@@ -306,6 +307,11 @@ std::vector<double> flatten_outcome(const stats::TestOutcome& o) {
           o.fault_coverage_loss};
 }
 
+// The fields the analytic pairs compare; defect_rate mirrors yield.
+std::vector<double> loss_fields(const stats::TestOutcome& o) {
+  return {o.yield, o.accept_rate, o.yield_loss, o.fault_coverage_loss};
+}
+
 }  // namespace
 
 Report check_parallel_mc_vs_serial(const RunOptions& opts) {
@@ -348,30 +354,50 @@ Report check_guard_band_analytic_vs_mc(const RunOptions& opts) {
   triple_opts.sharp_errors_only = true;
   // 1.2M trials put ~4.5 sigma of Monte-Carlo sampling error at ~8e-3 even
   // for the conditional losses (the faulty population is >= ~7 % of trials by
-  // construction of the generator). An analytic integration grid that fails
-  // to cut at the guard-banded threshold mis-assigns up to half a grid cell
-  // of probability mass at the acceptance step — amplified by the conditional
-  // denominators, that lands well outside this band, which is how the
-  // harness catches the yield.cpp segmentation bug.
-  constexpr int kGrid = 501;
+  // construction of the generator). An analytic evaluation that misplaces
+  // the acceptance step at a guard-banded threshold shifts probability mass
+  // across it — amplified by the conditional denominators, that lands well
+  // outside this band.
   constexpr int kTrials = 1200000;
   return differential<Case>(
       "guard_band_analytic_vs_mc",
       [triple_opts](stats::Rng& rng) { return random_spec_triple(rng, triple_opts); },
       [](const Case& c, stats::Rng&) {
-        const stats::TestOutcome o =
-            stats::evaluate_test(c.param, c.spec, c.threshold, c.error, kGrid);
-        return std::vector<double>{o.yield, o.accept_rate, o.yield_loss,
-                                   o.fault_coverage_loss};
+        return loss_fields(stats::evaluate_test(c.param, c.spec, c.threshold, c.error));
       },
       [](const Case& c, stats::Rng& rng) {
-        const stats::TestOutcome o = stats::evaluate_test_mc(
-            c.param, c.spec, c.threshold, c.error, rng, kTrials);
-        return std::vector<double>{o.yield, o.accept_rate, o.yield_loss,
-                                   o.fault_coverage_loss};
+        return loss_fields(
+            stats::evaluate_test_mc(c.param, c.spec, c.threshold, c.error, rng, kTrials));
       },
       [](const Case& c, obs::json::Writer& w) { describe(c, w); },
       Tolerance::abs_only(8e-3), opts);
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form evaluate_test vs the midpoint quadrature.
+// ---------------------------------------------------------------------------
+
+Report check_closed_form_vs_quadrature(const RunOptions& opts) {
+  using Case = SpecTriple;
+  SpecTripleOptions triple_opts;
+  triple_opts.always_guard_banded = false;  // thresholds at and off the spec
+  // Over 300 generator triples a 200001-point grid stays within 6.6e-9 of a
+  // 2000001-point one (worst on uniform-error FCL), so 5e-8 leaves a 7x
+  // margin for the reference's own error while any misplaced breakpoint or
+  // wrong segment moment in the closed form shows up far above it.
+  constexpr int kGrid = 200001;
+  return differential<Case>(
+      "closed_form_vs_quadrature",
+      [triple_opts](stats::Rng& rng) { return random_spec_triple(rng, triple_opts); },
+      [](const Case& c, stats::Rng&) {
+        return loss_fields(stats::evaluate_test(c.param, c.spec, c.threshold, c.error));
+      },
+      [](const Case& c, stats::Rng&) {
+        return loss_fields(
+            evaluate_test_quadrature(c.param, c.spec, c.threshold, c.error, kGrid));
+      },
+      [](const Case& c, obs::json::Writer& w) { describe(c, w); },
+      Tolerance::abs_only(5e-8), opts);
 }
 
 // ---------------------------------------------------------------------------
@@ -614,6 +640,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_path_workspace_vs_allocating_run(opts),
       check_parallel_mc_vs_serial(opts),
       check_guard_band_analytic_vs_mc(opts),
+      check_closed_form_vs_quadrature(opts),
       check_simd_window_vs_scalar(opts),
       check_simd_rfft_vs_scalar(opts),
       check_simd_biquad_vs_scalar(opts),

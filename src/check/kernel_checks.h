@@ -13,13 +13,16 @@
 //   PathGraph::run into a reused    | allocating PathGraph::run
 //     GraphWorkspace                |
 //   evaluate_test_mc on 4 threads   | evaluate_test_mc on 1 thread
-//   analytic evaluate_test at       | evaluate_test_mc (large trial count)
+//   closed-form evaluate_test at    | evaluate_test_mc (large trial count)
 //     guard-banded thresholds       |
+//   closed-form evaluate_test, all  | midpoint quadrature on 200001 points
+//     three error models            |   (check/yield_quadrature.h)
 //
-// The last pair is the regression net for the guard-band yield-integration
-// fix: with the threshold cuts missing from the integration grid, the
-// analytic side diverges from Monte Carlo by far more than sampling error at
-// sharp-error guard-banded thresholds.
+// The Monte-Carlo pair is the independent oracle for the loss integrals:
+// at sharp-error guard-banded thresholds, where the acceptance probability
+// is (nearly) a step, any misplaced step moves mass across the threshold
+// and the analytic side leaves the sampling band. The quadrature pair pins
+// the closed form far tighter (5e-8) at thresholds on and off the spec.
 #pragma once
 
 #include <vector>
@@ -34,6 +37,7 @@ Report check_oscillator_vs_libm_trig(const RunOptions& opts = {});
 Report check_path_workspace_vs_allocating_run(const RunOptions& opts = {});
 Report check_parallel_mc_vs_serial(const RunOptions& opts = {});
 Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
+Report check_closed_form_vs_quadrature(const RunOptions& opts = {});
 
 // SIMD backend vs forced-scalar pairs (base/simd.h). The reference side runs
 // the SAME public API under simd::ScopedIsa(kScalar) — the scalar backend is

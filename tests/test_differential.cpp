@@ -1,6 +1,6 @@
 // Tests for the golden-model differential harness (src/check): ulp metric,
 // comparator semantics, reproducer format, determinism, registry publishing,
-// and the shipped kernel-pair checks (six golden-model pairs plus the five
+// and the shipped kernel-pair checks (seven golden-model pairs plus the five
 // SIMD-vs-scalar pairs). The binary carries the ctest label "differential"
 // so the sanitizer leg can run exactly this suite.
 #include <gtest/gtest.h>
@@ -8,12 +8,14 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/differential.h"
 #include "check/generators.h"
 #include "check/kernel_checks.h"
+#include "check/yield_quadrature.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "path/receiver_path.h"
@@ -264,7 +266,7 @@ TEST(Generators, RandomSpecTripleIsWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// The six shipped kernel pairs
+// The seven shipped kernel pairs
 // ---------------------------------------------------------------------------
 
 TEST(KernelChecks, FftPlanMatchesNaiveDft) {
@@ -299,13 +301,32 @@ TEST(KernelChecks, ParallelMcBitIdenticalToSerial) {
 }
 
 TEST(KernelChecks, GuardBandedAnalyticMatchesMonteCarlo) {
-  // The regression net for the guard-band integration fix: without threshold
-  // cuts in evaluate_test's grid, sharp-error guard-banded cases diverge from
-  // Monte Carlo by far more than sampling error (see src/stats/yield.cpp).
+  // The independent oracle for the loss integrals: an analytic evaluation
+  // that misplaces the acceptance step at a sharp-error guard-banded
+  // threshold diverges from Monte Carlo by far more than sampling error.
   check::RunOptions opts;
   opts.cases = 16;
   const check::Report r = check::check_guard_band_analytic_vs_mc(opts);
   EXPECT_TRUE(r.passed()) << r.reproducer;
+}
+
+TEST(KernelChecks, ClosedFormMatchesQuadrature) {
+  const check::Report r = check::check_closed_form_vs_quadrature();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.cases, 24);
+  EXPECT_EQ(r.compared, 24u * 4u);
+}
+
+TEST(YieldQuadrature, RejectsBadArguments) {
+  const stats::Normal ok{0.0, 1.0};
+  const auto spec = stats::SpecLimits::at_least(0.0);
+  EXPECT_THROW(check::evaluate_test_quadrature(ok, spec, spec, stats::ErrorModel::none(), 10),
+               std::invalid_argument);
+  EXPECT_THROW(check::evaluate_test_quadrature(stats::Normal{0.0, 0.0}, spec, spec,
+                                               stats::ErrorModel::none(), 4001),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      check::evaluate_test_quadrature(ok, spec, spec, stats::ErrorModel::none(), 101));
 }
 
 // ---------------------------------------------------------------------------
@@ -344,9 +365,9 @@ TEST(KernelChecks, SimdFaultSimBitIdenticalAcrossWidths) {
 
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all eleven pairs
+  opts.cases = 2;  // smoke pass over all twelve pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 11u);
+  ASSERT_EQ(reports.size(), 12u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

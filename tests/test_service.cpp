@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -332,6 +333,20 @@ TEST(ServiceEngine, SynthesisErrorPropagatesThroughFuture) {
   auto future = engine.submit(bad);
   EXPECT_THROW((void)future.get(), std::invalid_argument);
   // The engine stays usable after a failed request.
+  EXPECT_NE(engine.submit(make_request()).get().result, nullptr);
+  EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+TEST(ServiceEngine, NonFiniteParameterFailsThroughFuture) {
+  // A NaN nominal passes path validation but reaches evaluate_test through
+  // the P1dB threshold study, which rejects it: the request fails instead of
+  // serving a plan whose study reads yield NaN and FCL / YL 0.
+  SynthesisRequest bad = make_request();
+  bad.config.mixer.p1db_in_dbm.nominal = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)synthesize_direct(bad), std::invalid_argument);
+  SynthesisEngine engine;
+  auto future = engine.submit(bad);
+  EXPECT_THROW((void)future.get(), std::invalid_argument);
   EXPECT_NE(engine.submit(make_request()).get().result, nullptr);
   EXPECT_EQ(engine.in_flight(), 0u);
 }

@@ -1,7 +1,12 @@
 // Tests for the end-to-end test-plan synthesizer (core/synthesizer.h).
 #include "core/synthesizer.h"
 
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "check/yield_quadrature.h"
 
 namespace msts::core {
 namespace {
@@ -89,6 +94,68 @@ TEST(TestSynthesizer, TableTwoRowsFollowThePattern) {
     EXPECT_NEAR(tight.fault_coverage_loss, 0.0, 1e-9) << study.parameter;
     EXPECT_GE(loose.fault_coverage_loss, tol.fault_coverage_loss) << study.parameter;
     EXPECT_GE(tight.yield_loss, tol.yield_loss) << study.parameter;
+  }
+}
+
+TEST(TestSynthesizer, TableTwoLossesArePinned) {
+  // EXPERIMENTS.md Table 2: FCL / YL of the adaptive reference-path studies
+  // (uniform worst-case error). evaluate_test is exact, so these can only
+  // move on purpose. Each literal also agrees with the 200001-point
+  // quadrature reference and rounds to the one-decimal percentage printed
+  // in the table (x 10, e.g. 441 for 44.1 %).
+  struct Pin {
+    const char* parameter;
+    const char* label;
+    double fcl;
+    double yl;
+    long fcl_permille;
+    long yl_permille;
+  };
+  const Pin pins[] = {
+      {"mixer.P1dB", "Tol", 0.44075960436592648, 0.18385737062934532, 441, 184},
+      {"mixer.P1dB", "Tol-Err", 0.94075943923447014, 0.0, 941, 0},
+      {"mixer.P1dB", "Tol+Err", 0.0, 0.6737704751022946, 0, 674},
+      {"mixer.IIP3", "Tol", 0.41118694380569865, 0.09615646549109505, 411, 96},
+      {"mixer.IIP3", "Tol-Err", 0.91113915930618583, 0.0, 911, 0},
+      {"mixer.IIP3", "Tol+Err", 0.0, 0.51184593189668148, 0, 512},
+      {"lpf.f_c", "Tol", 0.34801256277699083, 0.073815146000168003, 348, 74},
+      {"lpf.f_c", "Tol-Err", 0.84465720527114863, 0.0, 845, 0},
+      {"lpf.f_c", "Tol+Err", 0.0, 0.49609314867787446, 0, 496},
+  };
+  const TestSynthesizer synth(cfg(), true);
+  const ParameterStudy studies[] = {synth.study_mixer_p1db(), synth.study_mixer_iip3(),
+                                    synth.study_lpf_cutoff()};
+  for (const Pin& pin : pins) {
+    const ParameterStudy* study = nullptr;
+    for (const ParameterStudy& s : studies) {
+      if (s.parameter == pin.parameter) study = &s;
+    }
+    ASSERT_NE(study, nullptr) << pin.parameter;
+    const ThresholdRow& row = study->row(pin.label);
+    SCOPED_TRACE(std::string(pin.parameter) + " " + pin.label);
+    EXPECT_NEAR(row.outcome.fault_coverage_loss, pin.fcl, 1e-9);
+    EXPECT_NEAR(row.outcome.yield_loss, pin.yl, 1e-9);
+
+    const stats::TestOutcome ref = check::evaluate_test_quadrature(
+        study->population, study->spec, row.threshold,
+        stats::ErrorModel::uniform(study->error_wc), 200001);
+    EXPECT_NEAR(pin.fcl, ref.fault_coverage_loss, 5e-8);
+    EXPECT_NEAR(pin.yl, ref.yield_loss, 5e-8);
+    EXPECT_EQ(std::lround(1000.0 * pin.fcl), pin.fcl_permille);
+    EXPECT_EQ(std::lround(1000.0 * pin.yl), pin.yl_permille);
+  }
+}
+
+TEST(TestSynthesizer, LossesStayExactForSpecsFarInTheTail) {
+  // Specs 9 sigma from the nominals: the faulty parts sit in a ~1e-19 tail
+  // right below the limit, and Thr = Tol-Err lets the error disguise most
+  // of them. An integration window truncated at 8 sigma sees no faulty
+  // mass here at all.
+  const TestSynthesizer synth(cfg(), true, 9.0);
+  for (const auto& study : {synth.study_mixer_p1db(), synth.study_mixer_iip3(),
+                            synth.study_lpf_cutoff()}) {
+    EXPECT_GT(study.row("Tol").outcome.defect_rate, 0.0) << study.parameter;
+    EXPECT_GT(study.row("Tol-Err").outcome.fault_coverage_loss, 0.5) << study.parameter;
   }
 }
 
