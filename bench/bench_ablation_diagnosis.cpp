@@ -43,20 +43,25 @@ int main() {
   stats::Rng rng(777);
   const auto noisy = tester.path_codes(plan, device, rng);
 
-  // Simulate each probe fault under the *noisy* stimulus and diagnose.
-  std::size_t probes = 0, top1 = 0, top5 = 0;
-  digital::FaultSimOptions simopt;
-  simopt.capture_waveforms = true;
+  // Simulate every probe fault under the *noisy* stimulus in one batched
+  // pass, then diagnose each captured waveform.
+  std::vector<digital::Fault> probe_faults;
   for (std::size_t i = 0; i < dict_faults.size(); i += 7) {
     if (dict.entry(i).bins.empty()) continue;  // undetectable: nothing to diagnose
-    const digital::Fault one[] = {dict_faults[i]};
-    const auto sim = digital::simulate_faults(tester.netlist(), tester.input_bus(),
-                                              tester.output_bus(), noisy, one, simopt);
-    const auto ranked = dict.diagnose(sim.waveforms[0], 5);
-    ++probes;
-    if (!ranked.empty() && ranked[0].fault == dict_faults[i]) ++top1;
+    probe_faults.push_back(dict_faults[i]);
+  }
+  digital::FaultSimOptions simopt;
+  simopt.capture_waveforms = true;
+  const auto sim = digital::simulate_faults(tester.netlist(), tester.input_bus(),
+                                            tester.output_bus(), noisy, probe_faults,
+                                            simopt);
+  const std::size_t probes = probe_faults.size();
+  std::size_t top1 = 0, top5 = 0;
+  for (std::size_t p = 0; p < probes; ++p) {
+    const auto ranked = dict.diagnose(sim.waveforms[p], 5);
+    if (!ranked.empty() && ranked[0].fault == probe_faults[p]) ++top1;
     for (const auto& c : ranked) {
-      if (c.fault == dict_faults[i]) {
+      if (c.fault == probe_faults[p]) {
         ++top5;
         break;
       }

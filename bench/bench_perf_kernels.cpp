@@ -1,8 +1,8 @@
 // Performance microbenchmarks of the toolkit's kernels (google-benchmark):
 // FFT, spectral analysis, gate-level fault simulation, path transient
-// simulation, attribute propagation, test-plan synthesis and the FCL/YL
-// evaluation. These bound how long a full test synthesis + evaluation run
-// takes.
+// simulation and its Gaussian noise, attribute propagation, test-plan
+// synthesis and the FCL/YL evaluation. These bound how long a full test
+// synthesis + evaluation run takes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -136,6 +136,35 @@ static void BM_PathTransient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_PathTransient);
+
+// The Gaussian noise behind the amp, mixer and LO stages: one 32768-sample
+// transient record of deviates per iteration, drawn one normal() call at a
+// time and as one fill_normal() block. Both produce the same deviates.
+constexpr std::int64_t kNoiseRecord = 32768;
+
+static void BM_NormalPerCall(benchmark::State& state) {
+  std::vector<double> out(kNoiseRecord);
+  stats::Rng rng(1);
+  for (auto _ : state) {
+    for (double& x : out) x = rng.normal();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kNoiseRecord);
+}
+BENCHMARK(BM_NormalPerCall);
+
+static void BM_FillNormal(benchmark::State& state) {
+  std::vector<double> out(kNoiseRecord);
+  stats::Rng rng(1);
+  for (auto _ : state) {
+    rng.fill_normal(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kNoiseRecord);
+}
+BENCHMARK(BM_FillNormal);
 
 static void BM_PathGainMeasure(benchmark::State& state) {
   // One full translated-test evaluation: stimulus synthesis, transient run

@@ -60,6 +60,7 @@ double Adc::output_rate(double fs, std::size_t decimation) const {
 }
 
 double Adc::inl_at(double u) const {
+  MSTS_REQUIRE(!std::isnan(u), "INL position must not be NaN");
   const double clamped = std::clamp(u, -1.0, 1.0);
   const auto codes = static_cast<double>(inl_table_.size() - 1);
   const auto idx = static_cast<std::size_t>((clamped + 1.0) / 2.0 * codes);
@@ -72,17 +73,20 @@ void Adc::digitize_into(const Signal& in, std::size_t decimation,
   MSTS_REQUIRE(in.fs > 0.0, "input signal has no sample rate");
 
   const double q = lsb();
-  const std::int64_t code_min = -(1ll << (bits_ - 1));
-  const std::int64_t code_max = (1ll << (bits_ - 1)) - 1;
+  const auto code_min = static_cast<double>(-(1ll << (bits_ - 1)));
+  const auto code_max = static_cast<double>((1ll << (bits_ - 1)) - 1);
 
   out.clear();
   out.reserve(in.size() / decimation + 1);
   for (std::size_t i = 0; i < in.size(); i += decimation) {
     const double v = (in.samples[i] + offset_error_v_) * (1.0 + gain_error_);
+    MSTS_REQUIRE(std::isfinite(v),
+                 "ADC input is not finite (sample with offset and gain error)");
     const double u = v / vref_;  // normalised position in [-1, 1]
-    const double code_f = v / q + inl_at(u);
-    const auto code = static_cast<std::int64_t>(std::llround(code_f));
-    out.push_back(std::clamp(code, code_min, code_max));
+    // Rails first: llround of a value beyond the long long range is
+    // unspecified.
+    const double code_f = std::clamp(v / q + inl_at(u), code_min, code_max);
+    out.push_back(static_cast<std::int64_t>(std::llround(code_f)));
   }
 }
 

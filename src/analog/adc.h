@@ -35,7 +35,9 @@ class Adc {
   static Adc sampled(const AdcParams& params, stats::Rng& rng);
 
   /// Samples every `decimation`-th input point and converts it to a signed
-  /// output code in [-2^(bits-1), 2^(bits-1) - 1].
+  /// output code in [-2^(bits-1), 2^(bits-1) - 1]; inputs beyond full scale
+  /// read the nearer rail. Throws std::invalid_argument when a converted
+  /// point is not finite (a NaN or infinite sample, or a NaN parameter).
   std::vector<std::int64_t> digitize(const Signal& in, std::size_t decimation) const;
 
   /// digitize() into a caller-owned buffer (resized; capacity reused).
@@ -54,7 +56,8 @@ class Adc {
   double actual_inl_peak_lsb() const { return inl_peak_lsb_; }
 
   /// Static INL (in LSB) of the transfer curve at a normalised input
-  /// position u in [-1, 1] — smooth bow plus the DNL random walk.
+  /// position u in [-1, 1] — smooth bow plus the DNL random walk. Positions
+  /// outside the range read the end codes; NaN throws.
   double inl_at(double u) const;
 
  private:

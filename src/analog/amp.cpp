@@ -52,6 +52,7 @@ Amplifier Amplifier::sampled(const AmpParams& p, stats::Rng& rng) {
 void Amplifier::process_into(const Signal& in, stats::Rng& noise_rng,
                              Signal& out) const {
   MSTS_REQUIRE(in.fs > 0.0, "input signal has no sample rate");
+  MSTS_REQUIRE(&out != &in, "output must not alias the input");
   const double a1 = amplitude_ratio_from_db(gain_db_);
   const double c3 = c3_from_iip3(vpeak_from_dbm(iip3_dbm_));
   const double c2 = c2_from_iip2(vpeak_from_dbm(iip2_dbm_));
@@ -60,10 +61,13 @@ void Amplifier::process_into(const Signal& in, stats::Rng& noise_rng,
 
   out.fs = in.fs;
   out.samples.resize(in.size());
+  // The record's noise deviates land in the output first; the stage then
+  // overwrites each one with its sample.
+  noise_rng.fill_normal(out.samples);
   const double* src = in.samples.data();
   double* dst = out.samples.data();
   for (std::size_t i = 0; i < in.size(); ++i) {
-    const double xn = src[i] + noise_sigma * noise_rng.normal();
+    const double xn = src[i] + noise_sigma * dst[i];
     dst[i] = apply_nonlinearity(xn, a1, c2, c3, vsat) + dc_offset_v_;
   }
 }

@@ -39,7 +39,8 @@ class Amplifier {
   /// Processes a waveform; `noise_rng` drives the thermal noise.
   Signal process(const Signal& in, stats::Rng& noise_rng) const;
 
-  /// process() into a caller-owned buffer (resized; capacity reused).
+  /// process() into a caller-owned buffer (resized; capacity reused). `out`
+  /// must not alias `in`.
   void process_into(const Signal& in, stats::Rng& noise_rng, Signal& out) const;
 
   double actual_gain_db() const { return gain_db_; }

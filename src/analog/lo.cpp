@@ -51,10 +51,13 @@ void LocalOscillator::generate_into(double fs, std::size_t n, stats::Rng& noise_
   // Taylor pair instead of sincos, the jitter and carrier rotations fuse
   // into one multiply per sample, and the oscillator's periodic resync
   // (dsp::kResyncPeriod) folds the accumulated walk back into exact trig.
+  // The walk's deviates land in the output first and are overwritten in
+  // place by the carrier samples.
+  noise_rng.fill_normal(out.samples);
   dsp::PhasorOscillator osc(w, 0.0);
   double* dst = out.samples.data();
   for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = amplitude_ * osc.jitter_cos_next(phase_noise_rad_ * noise_rng.normal());
+    dst[i] = amplitude_ * osc.jitter_cos_next(phase_noise_rad_ * dst[i]);
   }
 }
 

@@ -36,6 +36,7 @@ void Mixer::process_into(const Signal& rf, const Signal& lo, stats::Rng& noise_r
                          Signal& out) const {
   MSTS_REQUIRE(rf.fs > 0.0 && rf.fs == lo.fs, "RF and LO rates must match");
   MSTS_REQUIRE(rf.size() == lo.size(), "RF and LO lengths must match");
+  MSTS_REQUIRE(&out != &rf && &out != &lo, "output must not alias an input");
 
   // A multiplicative mixer with a unit-amplitude LO halves the signal
   // amplitude in each sideband; fold the factor 2 into the port gain so the
@@ -50,11 +51,13 @@ void Mixer::process_into(const Signal& rf, const Signal& lo, stats::Rng& noise_r
 
   out.fs = rf.fs;
   out.samples.resize(rf.size());
+  // Noise deviates first, overwritten in place by the mixed samples.
+  noise_rng.fill_normal(out.samples);
   const double* rfp = rf.samples.data();
   const double* lop = lo.samples.data();
   double* dst = out.samples.data();
   for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double x = rfp[i] + noise_sigma * noise_rng.normal();
+    const double x = rfp[i] + noise_sigma * dst[i];
     // RF-port nonlinearity, then multiplication, then LO feedthrough.
     const double distorted = apply_nonlinearity(x, a1, 0.0, c3, vsat);
     dst[i] = distorted * lop[i] + leak * lop[i];

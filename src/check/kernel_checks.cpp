@@ -1,5 +1,6 @@
 #include "check/kernel_checks.h"
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -401,6 +402,79 @@ Report check_closed_form_vs_quadrature(const RunOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
+// Block-drawn Gaussian deviates vs repeated normal().
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct FillNormalCase {
+  std::vector<std::size_t> lengths;
+};
+
+// Appends the two 32-bit halves of a 64-bit pattern as exact doubles, so the
+// comparator's value equality is bit equality (it would let +0 match -0).
+void push_bits(std::vector<double>& out, std::uint64_t bits) {
+  out.push_back(static_cast<double>(bits >> 32));
+  out.push_back(static_cast<double>(bits & 0xFFFFFFFFull));
+}
+
+void push_bits(std::vector<double>& out, double x) {
+  push_bits(out, std::bit_cast<std::uint64_t>(x));
+}
+
+// Draws every length from both entry states (no cached deviate, one cached)
+// with the fill or with repeated normal(), then a few normal() / next_u64()
+// draws after the fill and again after a jump(): any difference in the end
+// state, cached deviate included, shows up there.
+std::vector<double> fill_normal_trace(const FillNormalCase& c, stats::Rng& rng,
+                                      bool block) {
+  std::vector<double> out;
+  std::vector<double> deviates;
+  for (const std::size_t n : c.lengths) {
+    for (const bool cached : {false, true}) {
+      rng.jump();  // drops any cached deviate
+      if (cached) push_bits(out, rng.normal());
+      deviates.assign(n, 0.0);
+      if (block) {
+        rng.fill_normal(deviates);
+      } else {
+        for (double& d : deviates) d = rng.normal();
+      }
+      for (const double d : deviates) push_bits(out, d);
+      for (int round = 0; round < 2; ++round) {
+        for (int k = 0; k < 3; ++k) push_bits(out, rng.normal());
+        for (int k = 0; k < 2; ++k) push_bits(out, rng.next_u64());
+        rng.jump();
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Report check_fill_normal_vs_normal(const RunOptions& opts) {
+  using Case = FillNormalCase;
+  constexpr std::size_t kBlock = stats::Rng::kFillBlock;
+  return differential<Case>(
+      "fill_normal_vs_normal",
+      [](stats::Rng& rng) {
+        // Empty, single, a random odd length, the block edges and one
+        // transient record.
+        const std::size_t odd = 3 + 2 * rng.uniform_int(2048);
+        return Case{{0, 1, odd, kBlock - 1, kBlock, kBlock + 1, 32768}};
+      },
+      [](const Case& c, stats::Rng& rng) { return fill_normal_trace(c, rng, true); },
+      [](const Case& c, stats::Rng& rng) { return fill_normal_trace(c, rng, false); },
+      [](const Case& c, obs::json::Writer& w) {
+        w.key("lengths").begin_array();
+        for (const std::size_t n : c.lengths) w.value(static_cast<std::uint64_t>(n));
+        w.end_array();
+      },
+      Tolerance::bit_identical(), opts);
+}
+
+// ---------------------------------------------------------------------------
 // SIMD backend vs forced-scalar pairs. Each reference closure re-runs the
 // identical public API inside simd::ScopedIsa(kScalar); the fast side uses
 // whatever backend the run dispatched to (see kernel_checks.h).
@@ -641,6 +715,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_parallel_mc_vs_serial(opts),
       check_guard_band_analytic_vs_mc(opts),
       check_closed_form_vs_quadrature(opts),
+      check_fill_normal_vs_normal(opts),
       check_simd_window_vs_scalar(opts),
       check_simd_rfft_vs_scalar(opts),
       check_simd_biquad_vs_scalar(opts),

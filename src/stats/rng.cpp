@@ -1,5 +1,7 @@
 #include "stats/rng.h"
 
+#include <algorithm>
+
 namespace msts::stats {
 
 namespace {
@@ -17,6 +19,35 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
+}
+
+void Rng::fill_normal(std::span<double> out) {
+  std::size_t i = 0;
+  if (has_cached_normal_ && !out.empty()) {
+    has_cached_normal_ = false;
+    out[i++] = cached_normal_;
+  }
+  // Whole pairs, a block at a time. Every candidate (u, v) is written to
+  // pair slot k of the output and its s to s_block[k]; only an accepted one
+  // advances k, so the block ends up holding exactly the pairs normal()
+  // would accept, from the same draws. The scaling pass then multiplies each
+  // pair by polar_scale(s) in place.
+  double s_block[kFillBlock / 2];
+  while (out.size() - i >= 2) {
+    const std::size_t pairs = std::min((out.size() - i) / 2, kFillBlock / 2);
+    double* uv = out.data() + i;
+    for (std::size_t k = 0; k < pairs;) {
+      s_block[k] = polar_draw(uv[2 * k], uv[2 * k + 1]);
+      k += polar_accepts(s_block[k]) ? 1 : 0;
+    }
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double m = polar_scale(s_block[p]);
+      uv[2 * p] *= m;
+      uv[2 * p + 1] *= m;
+    }
+    i += 2 * pairs;
+  }
+  if (i < out.size()) out[i] = normal();
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t bound) {

@@ -6,13 +6,15 @@
 // implement xoshiro256++ plus our own uniform/normal converters rather than
 // relying on <random> distributions, whose output is implementation-defined.
 //
-// The raw generator and the uniform/normal converters are defined inline:
-// noise injection calls normal() once per transient sample, so the call cost
-// is part of the simulator's per-sample budget.
+// The raw generator and the uniform/normal converters are defined inline.
+// Noisy transient stages draw a whole record of deviates with fill_normal(),
+// which returns exactly what per-sample normal() calls would.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace msts::stats {
 
@@ -47,8 +49,7 @@ class Rng {
   /// Standard normal deviate (Marsaglia polar method; caches the second
   /// deviate of each pair). Polar rejection costs ~1.27 uniform pairs per
   /// deviate pair but needs only one log/sqrt and no trig, roughly halving
-  /// the per-deviate cost of Box-Muller — this is the per-sample kernel of
-  /// every noisy transient stage.
+  /// the per-deviate cost of Box-Muller. fill_normal() is its block form.
   double normal() {
     if (has_cached_normal_) {
       has_cached_normal_ = false;
@@ -56,15 +57,26 @@ class Rng {
     }
     double u, v, s;
     do {
-      u = 2.0 * uniform() - 1.0;
-      v = 2.0 * uniform() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
+      s = polar_draw(u, v);
+    } while (!polar_accepts(s));
+    const double m = polar_scale(s);
     cached_normal_ = v * m;
     has_cached_normal_ = true;
     return u * m;
   }
+
+  /// Fills `out` with exactly the deviates out.size() back-to-back normal()
+  /// calls would return, and leaves the generator, cached deviate included,
+  /// in the state those calls would. The polar method runs blockwise: a
+  /// branch-free draw-and-accept loop fills up to kFillBlock deviates' worth
+  /// of accepted candidate pairs, then one pass scales them, so the log/sqrt
+  /// calls leave the generator's serial dependency chain and the rejections
+  /// cost no mispredicted branches. An odd deviate left over after the whole
+  /// pairs comes from normal(), which caches its pair partner.
+  void fill_normal(std::span<double> out);
+
+  /// Deviates per fill_normal() block.
+  static constexpr std::size_t kFillBlock = 512;
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double sigma) { return mean + sigma * normal(); }
@@ -92,6 +104,20 @@ class Rng {
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  // The polar method in three steps, shared by normal() and fill_normal()
+  // so both evaluate the same expressions. polar_draw() draws one candidate
+  // (u, v) uniform on the square [-1, 1)^2 and returns s = u^2 + v^2;
+  // polar_accepts(s) keeps it when it lies inside the unit disc and off the
+  // origin; an accepted pair maps to the deviates u*m and v*m with
+  // m = polar_scale(s).
+  double polar_draw(double& u, double& v) {
+    u = 2.0 * uniform() - 1.0;
+    v = 2.0 * uniform() - 1.0;
+    return u * u + v * v;
+  }
+  static bool polar_accepts(double s) { return s < 1.0 && s != 0.0; }
+  static double polar_scale(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
   void apply_jump_poly(const std::uint64_t (&poly)[4]);
 

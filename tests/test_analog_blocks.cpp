@@ -1,6 +1,10 @@
 // Tests for the analog behavioral blocks (analog/*): each block's simulated
 // waveform must exhibit the datasheet parameter it was configured with.
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +132,21 @@ TEST(Amplifier, SampledInstanceStaysWithinTolerance) {
     EXPECT_LE(a.actual_gain_db(), p.gain_db.upper());
     EXPECT_GE(a.actual_nf_db(), 0.0);
   }
+}
+
+TEST(NoisyStages, ProcessIntoRejectsAliasedOutput) {
+  // The noise is drawn into the output before the input is read, so an
+  // in-place call would read its own deviates.
+  const Amplifier amp{AmpParams{}};
+  const Mixer mixer{MixerParams{}};
+  stats::Rng rng(4);
+  Signal rf = tone_signal(10.5e6, 1e-3);
+  Signal lo_wave = LocalOscillator(LoParams{}).generate(kFs, kN, rng);
+  EXPECT_THROW(amp.process_into(rf, rng, rf), std::invalid_argument);
+  EXPECT_THROW(mixer.process_into(rf, lo_wave, rng, rf), std::invalid_argument);
+  EXPECT_THROW(mixer.process_into(rf, lo_wave, rng, lo_wave), std::invalid_argument);
+  Signal out;
+  EXPECT_NO_THROW(mixer.process_into(rf, lo_wave, rng, out));
 }
 
 TEST(LocalOscillator, FrequencyErrorShiftsOutput) {
@@ -281,10 +300,34 @@ TEST(Adc, ClampsBeyondFullScale) {
   const Adc adc(p);
   Signal big;
   big.fs = kFs;
-  big.samples = {10.0, -10.0};
+  // Far beyond the range of llround too: the rail is taken before rounding.
+  big.samples = {10.0, -10.0, 1e300, -1e300, std::numeric_limits<double>::max()};
   const auto codes = adc.digitize(big, 1);
-  EXPECT_EQ(codes[0], (1ll << (p.bits - 1)) - 1);
-  EXPECT_EQ(codes[1], -(1ll << (p.bits - 1)));
+  const std::int64_t top = (1ll << (p.bits - 1)) - 1;
+  const std::int64_t bottom = -(1ll << (p.bits - 1));
+  EXPECT_EQ(codes, (std::vector<std::int64_t>{top, bottom, top, bottom, top}));
+}
+
+TEST(Adc, RejectsNonFiniteInput) {
+  const Adc adc{AdcParams{}};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Signal in;
+    in.fs = kFs;
+    in.samples = {0.1, bad};
+    EXPECT_THROW((void)adc.digitize(in, 1), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW((void)adc.inl_at(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  // A NaN parameter passes construction but cannot be digitized.
+  AdcParams nan_offset;
+  nan_offset.offset_error_v =
+      stats::Uncertain::exact(std::numeric_limits<double>::quiet_NaN());
+  Signal zero;
+  zero.fs = kFs;
+  zero.samples.assign(4, 0.0);
+  EXPECT_THROW((void)Adc(nan_offset).digitize(zero, 1), std::invalid_argument);
 }
 
 TEST(Adc, RejectsBadConfig) {

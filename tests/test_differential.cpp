@@ -266,7 +266,7 @@ TEST(Generators, RandomSpecTripleIsWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// The seven shipped kernel pairs
+// The eight shipped kernel pairs
 // ---------------------------------------------------------------------------
 
 TEST(KernelChecks, FftPlanMatchesNaiveDft) {
@@ -317,6 +317,14 @@ TEST(KernelChecks, ClosedFormMatchesQuadrature) {
   EXPECT_EQ(r.compared, 24u * 4u);
 }
 
+TEST(KernelChecks, FillNormalMatchesRepeatedNormal) {
+  const check::Report r = check::check_fill_normal_vs_normal();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.cases, 24);
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(YieldQuadrature, RejectsBadArguments) {
   const stats::Normal ok{0.0, 1.0};
   const auto spec = stats::SpecLimits::at_least(0.0);
@@ -365,9 +373,9 @@ TEST(KernelChecks, SimdFaultSimBitIdenticalAcrossWidths) {
 
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all twelve pairs
+  opts.cases = 2;  // smoke pass over all thirteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 12u);
+  ASSERT_EQ(reports.size(), 13u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

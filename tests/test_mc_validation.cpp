@@ -68,6 +68,25 @@ TEST(McValidation, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(McValidation, ResultIsPinned) {
+  // One translated_mc op (40 adaptive trials at the default record). The
+  // weights and losses are exact on every thread count and SIMD backend;
+  // the FFT behind the measurement error differs by a few ulps between
+  // backends, hence the relative bound on that one field.
+  const auto config = path::reference_path_config();
+  const TestSynthesizer synth(config, /*adaptive=*/true);
+  const auto study = synth.study_mixer_iip3();
+  stats::Rng rng(81);
+  const auto v = validate_iip3_study_mc(config, study, 40, rng, true);
+  EXPECT_EQ(v.trials, 40);
+  EXPECT_EQ(v.weight_good, 0x1.5d7bcddb541edp+3);
+  EXPECT_EQ(v.weight_faulty, 0x1.74072313701bfp-3);
+  EXPECT_EQ(v.fcl_measured, 0x1.eab4e0b7ea6f7p-2);
+  EXPECT_EQ(v.yl_measured, 0x1.223bcbbf3fe22p-4);
+  constexpr double kMeanAbsError = 0x1.2dfc8b9ed7268p-2;
+  EXPECT_NEAR(v.mean_abs_meas_error, kMeanAbsError, 1e-12 * kMeanAbsError);
+}
+
 TEST(McValidation, RejectsTooFewTrials) {
   const auto config = path::reference_path_config();
   const TestSynthesizer synth(config);

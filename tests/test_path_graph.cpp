@@ -1,18 +1,21 @@
 // Tests for the composable path-graph layer (path/path_graph.h): the
 // centralized construction-time validation rules, canonical graph
 // derivation, composition of non-canonical topologies, the runtime
-// contracts (workspace identity, volts conversion, first-of-kind accessors)
-// and the compiler-independent draw order of sampled devices.
+// contracts (workspace identity, volts conversion, first-of-kind accessors),
+// the pinned bits of one sampled transient and the compiler-independent
+// draw order of sampled devices.
 #include "path/path_graph.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "analog/sigma_delta.h"
+#include "core/translation.h"
 #include "dsp/tonegen.h"
 #include "path/receiver_path.h"
 #include "stats/monte_carlo.h"
@@ -271,6 +274,43 @@ TEST(PathGraph, SampledIsDeterministicPerSeed) {
   const auto tc = c.run(rf, nc);
   EXPECT_EQ(ta.filter_out, tb.filter_out);
   EXPECT_NE(ta.filter_out, tc.filter_out);
+}
+
+// FNV-1a over the bytes of each code, least significant byte first.
+std::uint64_t fnv1a(const std::vector<std::int64_t>& codes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::int64_t c : codes) {
+    const auto u = static_cast<std::uint64_t>(c);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (u >> shift) & 0xFFu;
+      h *= 0x100000001B3ull;
+    }
+  }
+  return h;
+}
+
+TEST(PathGraph, SampledTransientIsPinned) {
+  // The exact bits of one manufactured device's transient under the
+  // translator's two-tone stimulus. A change in how the stages consume the
+  // noise stream moves these hashes even where every statistical test
+  // still passes.
+  const PathConfig config = reference_path_config();
+  const core::Translator translator(config);
+  const MeasureOptions opts;
+  const auto [f1, f2] = translator.test_two_tone(opts);
+  const double amp = translator.linear_drive_vpeak();
+  const dsp::Tone tones[] = {{config.lo.freq_hz + f1, amp, 0.0},
+                             {config.lo.freq_hz + f2, amp, 0.0}};
+  analog::Signal rf;
+  rf.fs = config.analog_fs;
+  rf.samples = dsp::generate_tones(tones, 0.0, config.analog_fs,
+                                   opts.digital_record * config.adc_decimation);
+
+  stats::Rng rng(5);
+  const PathGraph device = PathGraph::sampled(config, rng);
+  const auto trace = device.run(rf, rng);
+  EXPECT_EQ(fnv1a(trace.adc_codes), 0xA04020C6E5B6932Aull);
+  EXPECT_EQ(fnv1a(trace.filter_out), 0x240D85D9A6DB8D7Full);
 }
 
 TEST(PathGraph, ReceiverPathExposesItsGraph) {
