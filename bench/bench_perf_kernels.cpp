@@ -20,6 +20,7 @@
 #include "obs/bench_report.h"
 #include "path/measurements.h"
 #include "path/path_graph.h"
+#include "service/request.h"
 #include "stats/rng.h"
 #include "stats/yield.h"
 
@@ -210,6 +211,28 @@ static void BM_TestPlanSynthesis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TestPlanSynthesis);
+
+// The two halves of a served request: the cache key every request pays,
+// and the cold synthesis (plan plus measurement setup) a miss pays on top.
+static void BM_ContentKey(benchmark::State& state) {
+  service::SynthesisRequest request;
+  request.config = path::reference_path_config();
+  for (auto _ : state) {
+    const std::string key = service::content_key(request);
+    benchmark::DoNotOptimize(key.data());
+  }
+}
+BENCHMARK(BM_ContentKey);
+
+static void BM_SynthesizeDirect(benchmark::State& state) {
+  service::SynthesisRequest request;
+  request.config = path::reference_path_config();
+  for (auto _ : state) {
+    const service::SynthesisResult result = service::synthesize_direct(request);
+    benchmark::DoNotOptimize(result.plan.size());
+  }
+}
+BENCHMARK(BM_SynthesizeDirect);
 
 // One Table 2 row (the IIP3 study at Thr=Tol: N(2, 0.5) dBm, spec >= 1 dBm,
 // error +/-1.05 dB worst case or sigma 0.35 dB) under each error model: none

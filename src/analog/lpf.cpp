@@ -187,16 +187,21 @@ Signal LowPassFilter::process(const Signal& in) const {
   return out;
 }
 
-namespace {
-
-std::complex<double> cascade_response(double f, double fs, double cutoff_hz,
-                                      int order, double passband_gain_db) {
+LpfResponse::LpfResponse(double cutoff_hz, double passband_gain_db, int order,
+                         double fs)
+    : fs_(fs), gain_(amplitude_ratio_from_db(passband_gain_db)) {
   const auto qs = butterworth_qs(order);
-  std::complex<double> h(amplitude_ratio_from_db(passband_gain_db), 0.0);
-  const std::complex<double> z =
-      std::exp(std::complex<double>(0.0, -kTwoPi * f / fs));
+  sections_.reserve(qs.size());
   for (double q : qs) {
-    const Biquad bq = design_lowpass_biquad(cutoff_hz, fs, q);
+    sections_.push_back(design_lowpass_biquad(cutoff_hz, fs, q));
+  }
+}
+
+std::complex<double> LpfResponse::at(double f) const {
+  std::complex<double> h(gain_, 0.0);
+  const std::complex<double> z =
+      std::exp(std::complex<double>(0.0, -kTwoPi * f / fs_));
+  for (const Biquad& bq : sections_) {
     const auto num = bq.b0 + bq.b1 * z + bq.b2 * z * z;
     const auto den = 1.0 + bq.a1 * z + bq.a2 * z * z;
     h *= num / den;
@@ -204,17 +209,15 @@ std::complex<double> cascade_response(double f, double fs, double cutoff_hz,
   return h;
 }
 
-}  // namespace
-
 double LowPassFilter::magnitude_at(double f, double fs) const {
-  return std::abs(cascade_response(f, fs, cutoff_hz_, order_, passband_gain_db_));
+  return LpfResponse(cutoff_hz_, passband_gain_db_, order_, fs).magnitude_at(f);
 }
 
 double LowPassFilter::group_delay_at(double f, double fs) const {
+  const LpfResponse response(cutoff_hz_, passband_gain_db_, order_, fs);
   const double df = std::max(1.0, f * 1e-4);
-  const auto lo = cascade_response(std::max(0.0, f - df), fs, cutoff_hz_, order_,
-                                   passband_gain_db_);
-  const auto hi = cascade_response(f + df, fs, cutoff_hz_, order_, passband_gain_db_);
+  const auto lo = response.at(std::max(0.0, f - df));
+  const auto hi = response.at(f + df);
   double dphi = std::arg(hi) - std::arg(lo);
   while (dphi > kPi) dphi -= kTwoPi;
   while (dphi < -kPi) dphi += kTwoPi;

@@ -7,6 +7,7 @@
 // they are not mistaken for fault effects.
 #pragma once
 
+#include <complex>
 #include <vector>
 
 #include "analog/signal.h"
@@ -26,6 +27,25 @@ Biquad design_lowpass_biquad(double fc, double fs, double q);
 
 /// Butterworth section Q values for an even filter order.
 std::vector<double> butterworth_qs(int order);
+
+/// Small-signal response of a Butterworth biquad cascade at one rate. The
+/// sections are designed once, at construction, so evaluating many
+/// frequencies designs nothing; LowPassFilter's magnitude and group delay
+/// and the attribute model's toleranced gain all evaluate through it.
+class LpfResponse {
+ public:
+  LpfResponse(double cutoff_hz, double passband_gain_db, int order, double fs);
+
+  /// Complex response at frequency f, pass-band gain included.
+  std::complex<double> at(double f) const;
+  double magnitude_at(double f) const { return std::abs(at(f)); }
+  double fs() const { return fs_; }
+
+ private:
+  double fs_;
+  double gain_;
+  std::vector<Biquad> sections_;
+};
 
 /// Datasheet-style filter description.
 struct LpfParams {
@@ -53,7 +73,8 @@ class LowPassFilter {
   void process_into(const Signal& in, Signal& out) const;
 
   /// Small-signal magnitude response at frequency f for rate fs (includes
-  /// the pass-band gain), used by tests and by the attribute model.
+  /// the pass-band gain): one LpfResponse designed for this call. Repeated
+  /// evaluations at one rate should hold an LpfResponse instead.
   double magnitude_at(double f, double fs) const;
 
   /// Group delay (seconds) at frequency f for rate fs, from the numerical

@@ -10,6 +10,7 @@
 #include "base/units.h"
 #include "dsp/fir_design.h"
 #include "dsp/metrics.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "stats/uncertain.h"
 
@@ -21,6 +22,10 @@ using stats::Uncertain;
 
 // Toleranced linear gain from a toleranced dB gain.
 Uncertain lin_gain(const Uncertain& db) { return stats::db_to_linear_amplitude(db); }
+
+// Counts every single-block propagation step of every PathAttrModel loop,
+// so the work a synthesis does reads as an exact number on any host.
+constexpr const char* kBlockForwards = "core.attr.block_forwards";
 
 // Noise power after a gain stage that also adds input-referred noise vn
 // (V rms): (noise_in + vn^2) * g^2.
@@ -172,19 +177,20 @@ SignalAttributes MixerAttrModel::forward(const SignalAttributes& in) const {
 // Low-pass filter
 // --------------------------------------------------------------------------
 
-LpfAttrModel::LpfAttrModel(const analog::LpfParams& params) : p_(params) {}
+LpfAttrModel::LpfAttrModel(const analog::LpfParams& params, double fs)
+    : p_(params),
+      nominal_(p_.cutoff_hz.nominal, p_.passband_gain_db.nominal, p_.order, fs),
+      cutoff_hi_(p_.cutoff_hz.nominal + p_.cutoff_hz.wc, p_.passband_gain_db.nominal,
+                 p_.order, fs),
+      cutoff_lo_(p_.cutoff_hz.nominal - p_.cutoff_hz.wc, p_.passband_gain_db.nominal,
+                 p_.order, fs) {}
 
-stats::Uncertain LpfAttrModel::gain_at(double f, double fs) const {
-  const analog::LowPassFilter nominal(p_);
-  const double h = nominal.magnitude_at(f, fs);
+stats::Uncertain LpfAttrModel::gain_at(double f) const {
+  const double h = nominal_.magnitude_at(f);
 
   // Sensitivity to the cutoff tolerance, evaluated numerically.
-  analog::LpfParams hi = p_;
-  hi.cutoff_hz = stats::Uncertain::exact(p_.cutoff_hz.nominal + p_.cutoff_hz.wc);
-  analog::LpfParams lo = p_;
-  lo.cutoff_hz = stats::Uncertain::exact(p_.cutoff_hz.nominal - p_.cutoff_hz.wc);
-  const double h_hi = analog::LowPassFilter(hi).magnitude_at(f, fs);
-  const double h_lo = analog::LowPassFilter(lo).magnitude_at(f, fs);
+  const double h_hi = cutoff_hi_.magnitude_at(f);
+  const double h_lo = cutoff_lo_.magnitude_at(f);
   const double wc_from_fc = std::max(std::abs(h_hi - h), std::abs(h_lo - h));
 
   // magnitude_at already includes the nominal pass-band gain; its tolerance
@@ -197,17 +203,18 @@ stats::Uncertain LpfAttrModel::gain_at(double f, double fs) const {
 }
 
 SignalAttributes LpfAttrModel::forward(const SignalAttributes& in) const {
+  MSTS_REQUIRE(in.fs == nominal_.fs(), "lpf model input must run at the model's rate");
   SignalAttributes out;
   out.fs = in.fs;
 
   for (const ToneAttr& t : in.tones) {
     ToneAttr o = t;
-    o.amplitude = stats::multiply(t.amplitude, gain_at(t.freq.nominal, in.fs));
+    o.amplitude = stats::multiply(t.amplitude, gain_at(t.freq.nominal));
     out.tones.push_back(o);
   }
   for (const SpurAttr& s : in.spurs) {
     SpurAttr o = s;
-    o.amplitude = stats::multiply(s.amplitude, gain_at(s.freq, in.fs));
+    o.amplitude = stats::multiply(s.amplitude, gain_at(s.freq));
     out.spurs.push_back(o);
   }
 
@@ -217,13 +224,13 @@ SignalAttributes LpfAttrModel::forward(const SignalAttributes& in) const {
   clock.origin = "lpf.clock";
   out.spurs.push_back(clock);
 
-  out.dc = stats::multiply(in.dc, gain_at(0.0, in.fs));
+  const Uncertain g_dc = gain_at(0.0);
+  out.dc = stats::multiply(in.dc, g_dc);
 
   // White noise through the filter: total power shrinks to the filter's
   // equivalent noise bandwidth over the input Nyquist band.
-  const analog::LowPassFilter nominal(p_);
   const double enbw_ratio = 1.026 * p_.cutoff_hz.nominal / (in.fs / 2.0);
-  const double g0 = nominal.magnitude_at(0.0, in.fs);
+  const double g0 = g_dc.nominal;
   out.noise_power = in.noise_power * (g0 * g0 * std::min(1.0, enbw_ratio));
   return out;
 }
@@ -348,7 +355,7 @@ PathAttrModel::PathAttrModel(const path::PathGraphConfig& graph) : graph_(graph)
         blocks_.push_back(std::make_unique<MixerAttrModel>(b.mixer, b.lo));
         break;
       case path::BlockKind::kLpf:
-        blocks_.push_back(std::make_unique<LpfAttrModel>(b.lpf));
+        blocks_.push_back(std::make_unique<LpfAttrModel>(b.lpf, graph_.analog_fs));
         break;
       case path::BlockKind::kAdc:
         blocks_.push_back(std::make_unique<AdcAttrModel>(b.adc, b.adc_decimation));
@@ -396,6 +403,7 @@ SignalAttributes PathAttrModel::forward_upto(const SignalAttributes& rf,
                         {"noise_power_v2", sig.noise_power.nominal}}});
     }
   }
+  obs::counter_add(kBlockForwards, nblocks);
   return sig;
 }
 
@@ -423,6 +431,7 @@ stats::Uncertain PathAttrModel::gain_db_from(std::size_t block_index,
                                    stats::Uncertain::exact(1e-3),
                                    stats::Uncertain::exact(0.0)}});
   for (std::size_t i = 0; i < block_index; ++i) sig = blocks_[i]->forward(sig);
+  obs::counter_add(kBlockForwards, block_index);
   MSTS_REQUIRE(!sig.tones.empty(), "probe tone vanished during propagation");
 
   SignalAttributes probe = make_stimulus(
@@ -432,6 +441,7 @@ stats::Uncertain PathAttrModel::gain_db_from(std::size_t block_index,
   for (std::size_t i = block_index; i < blocks_.size(); ++i) {
     probe = blocks_[i]->forward(probe);
   }
+  obs::counter_add(kBlockForwards, blocks_.size() - block_index);
   MSTS_REQUIRE(!probe.tones.empty(), "probe tone vanished during propagation");
   return stats::linear_amplitude_to_db(probe.tones.front().amplitude / 1e-3);
 }

@@ -60,15 +60,20 @@ class MixerAttrModel : public AttrModel {
 /// slope; clock spur injection; noise-bandwidth shaping.
 class LpfAttrModel : public AttrModel {
  public:
-  explicit LpfAttrModel(const analog::LpfParams& params);
+  /// Designs the nominal and cutoff +/- wc responses once, for the rate `fs`
+  /// the model runs at; forward() requires its input at that rate.
+  LpfAttrModel(const analog::LpfParams& params, double fs);
   std::string name() const override { return "lpf"; }
   SignalAttributes forward(const SignalAttributes& in) const override;
 
-  /// Toleranced magnitude gain (linear) at frequency f for context rate fs.
-  stats::Uncertain gain_at(double f, double fs) const;
+  /// Toleranced magnitude gain (linear) at frequency f.
+  stats::Uncertain gain_at(double f) const;
 
  private:
   analog::LpfParams p_;
+  analog::LpfResponse nominal_;
+  analog::LpfResponse cutoff_hi_;  ///< Cutoff at nominal + wc.
+  analog::LpfResponse cutoff_lo_;  ///< Cutoff at nominal - wc.
 };
 
 /// ADC: rate change (tones fold into the digital band), gain/offset errors,

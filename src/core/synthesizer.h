@@ -51,7 +51,9 @@ class TestSynthesizer {
   explicit TestSynthesizer(const path::PathGraphConfig& graph, bool adaptive = true,
                            double spec_sigmas = 2.0);
 
-  /// The full plan (Table 1 parameter set).
+  /// The full plan (Table 1 parameter set). Each translator analysis (and
+  /// the one linear-drive probe propagation two of them share) is computed
+  /// at most once per call and handed to every row and study that needs it.
   std::vector<PlannedTest> synthesize() const;
 
   /// The three Table 2 parameters with their threshold studies.
@@ -63,7 +65,12 @@ class TestSynthesizer {
   bool adaptive() const { return adaptive_; }
 
  private:
-  path::PathGraphConfig graph_;
+  // The studies over an analysis the caller already holds.
+  ParameterStudy study_mixer_p1db(const TranslationAnalysis& analysis) const;
+  ParameterStudy study_mixer_iip3(const TranslationAnalysis& analysis) const;
+  ParameterStudy study_lpf_cutoff(const TranslationAnalysis& analysis) const;
+  const path::PathGraphConfig& graph() const { return translator_.model().graph(); }
+
   Translator translator_;
   bool adaptive_;
   double spec_sigmas_;

@@ -53,32 +53,31 @@ Translator::Translator(const path::PathConfig& config)
     : Translator(path::graph_from_config(config)) {}
 
 Translator::Translator(const path::PathGraphConfig& graph)
-    : graph_(graph),
-      model_(graph_),
-      amp_idx_(graph_.index_of(path::BlockKind::kAmp)),
-      mixer_idx_(graph_.index_of(path::BlockKind::kMixer)),
-      lpf_idx_(graph_.index_of(path::BlockKind::kLpf)) {}
+    : model_(graph),
+      amp_idx_(model_.graph().index_of(path::BlockKind::kAmp)),
+      mixer_idx_(model_.graph().index_of(path::BlockKind::kMixer)),
+      lpf_idx_(model_.graph().index_of(path::BlockKind::kLpf)) {}
 
 double Translator::pre_mixer_gain_db() const {
   MSTS_REQUIRE(mixer_idx_.has_value(), "analysis needs a mixer block");
   double g = 0.0;
   for (std::size_t i = 0; i < *mixer_idx_; ++i) {
-    if (graph_.blocks[i].kind == path::BlockKind::kAmp) {
-      g += graph_.blocks[i].amp.gain_db.nominal;
+    if (graph().blocks[i].kind == path::BlockKind::kAmp) {
+      g += graph().blocks[i].amp.gain_db.nominal;
     }
   }
   return g;
 }
 
 double Translator::lo_freq() const {
-  return mixer_idx_ ? graph_.blocks[*mixer_idx_].lo.freq_hz : 0.0;
+  return mixer_idx_ ? graph().blocks[*mixer_idx_].lo.freq_hz : 0.0;
 }
 
 double Translator::test_if_freq(const path::MeasureOptions& opts) const {
   MSTS_REQUIRE(lpf_idx_.has_value(), "stimulus placement needs an LPF block");
   return dsp::coherent_frequency(
-      graph_.digital_fs(), opts.digital_record,
-      0.4 * graph_.blocks[*lpf_idx_].lpf.cutoff_hz.nominal);
+      graph().digital_fs(), opts.digital_record,
+      0.4 * graph().blocks[*lpf_idx_].lpf.cutoff_hz.nominal);
 }
 
 std::pair<double, double> Translator::test_two_tone(
@@ -86,8 +85,8 @@ std::pair<double, double> Translator::test_two_tone(
   MSTS_REQUIRE(lpf_idx_.has_value(), "stimulus placement needs an LPF block");
   // Both tones in the LPF and FIR pass-band, placed so their IM3 products
   // stay in-band and off the fundamental bins.
-  const double fs_d = graph_.digital_fs();
-  const double cutoff = graph_.blocks[*lpf_idx_].lpf.cutoff_hz.nominal;
+  const double fs_d = graph().digital_fs();
+  const double cutoff = graph().blocks[*lpf_idx_].lpf.cutoff_hz.nominal;
   const auto tones = dsp::place_test_tones(fs_d, opts.digital_record,
                                            0.25 * cutoff, 0.55 * cutoff, 2);
   return {tones[0], tones[1]};
@@ -98,7 +97,7 @@ double Translator::linear_drive_vpeak() const {
   // referred to the primary input, minus margin.
   MSTS_REQUIRE(mixer_idx_.has_value(), "drive-level choice needs a mixer block");
   const double p1db_pi_dbm =
-      graph_.blocks[*mixer_idx_].mixer.p1db_in_dbm.nominal - pre_mixer_gain_db();
+      graph().blocks[*mixer_idx_].mixer.p1db_in_dbm.nominal - pre_mixer_gain_db();
   return vpeak_from_dbm(p1db_pi_dbm - 15.0);
 }
 
@@ -151,18 +150,18 @@ TranslationAnalysis Translator::analyze_lpf_cutoff() const {
   a.method = TranslationMethod::kPropagation;
   MSTS_REQUIRE(lpf_idx_.has_value(), "cutoff analysis needs an LPF block");
   // The -3 dB crossing moves by (flatness error) / (response slope at fc).
-  const analog::LpfParams& lpf = graph_.blocks[*lpf_idx_].lpf;
-  const analog::LowPassFilter nominal(lpf);
+  const analog::LpfParams& lpf = graph().blocks[*lpf_idx_].lpf;
   const double fc = lpf.cutoff_hz.nominal;
-  const double fs = graph_.analog_fs;
+  const analog::LpfResponse nominal(fc, lpf.passband_gain_db.nominal, lpf.order,
+                                    graph().analog_fs);
   const double df = fc * 1e-3;
   const double slope_db_per_hz =
-      (db_from_amplitude_ratio(nominal.magnitude_at(fc + df, fs)) -
-       db_from_amplitude_ratio(nominal.magnitude_at(fc - df, fs))) /
+      (db_from_amplitude_ratio(nominal.magnitude_at(fc + df)) -
+       db_from_amplitude_ratio(nominal.magnitude_at(fc - df))) /
       (2.0 * df);
   MSTS_REQUIRE(slope_db_per_hz < 0.0, "filter response must fall at the cutoff");
   const double hz_per_db = 1.0 / std::abs(slope_db_per_hz);
-  const Uncertain flat = graph_.analog_flatness_db + measurement_floor_db();
+  const Uncertain flat = graph().analog_flatness_db + measurement_floor_db();
   a.error = Uncertain(0.0, flat.wc * hz_per_db, flat.sigma * hz_per_db);
   a.formula = "f_c from -3 dB crossing of G(f)/G(f_ref); FIR response divided out";
   return traced("lpf_cutoff", std::move(a));
@@ -178,16 +177,25 @@ TranslationAnalysis Translator::analyze_lo_freq_error() const {
   return traced("lo_freq_error", std::move(a));
 }
 
+SignalAttributes Translator::linear_probe_response() const {
+  const SignalAttributes probe = make_stimulus(
+      graph().analog_fs,
+      {ToneAttr{Uncertain::exact(lo_freq() + test_if_freq()),
+                Uncertain::exact(linear_drive_vpeak()), Uncertain::exact(0.0)}});
+  return model_.forward(probe);
+}
+
 TranslationAnalysis Translator::analyze_mixer_lo_isolation() const {
+  MSTS_REQUIRE(mixer_idx_.has_value(), "mixer analysis needs a mixer block");
+  return analyze_mixer_lo_isolation(linear_probe_response());
+}
+
+TranslationAnalysis Translator::analyze_mixer_lo_isolation(
+    const SignalAttributes& out) const {
   TranslationAnalysis a;
   // Propagate the feedthrough spur to the output and compare with the
   // minimum detectable level there.
   MSTS_REQUIRE(mixer_idx_.has_value(), "mixer analysis needs a mixer block");
-  SignalAttributes probe = make_stimulus(
-      graph_.analog_fs,
-      {ToneAttr{Uncertain::exact(lo_freq() + test_if_freq()),
-                Uncertain::exact(linear_drive_vpeak()), Uncertain::exact(0.0)}});
-  const SignalAttributes out = model_.forward(probe);
   double feedthrough = 0.0;
   for (const SpurAttr& s : out.spurs) {
     if (s.origin == "mixer.LO-feedthrough") {
@@ -202,7 +210,7 @@ TranslationAnalysis Translator::analyze_mixer_lo_isolation() const {
                 std::to_string(feedthrough * 1e9) + " nV < " +
                 std::to_string(min_det * 1e9) + " nV): untranslatable";
   } else {
-    const analog::MixerParams& mixer = graph_.blocks[*mixer_idx_].mixer;
+    const analog::MixerParams& mixer = graph().blocks[*mixer_idx_].mixer;
     a.method = TranslationMethod::kPropagation;
     a.error = Uncertain(0.0, mixer.conv_gain_db.wc, mixer.conv_gain_db.sigma);
     a.formula = "isolation = LO level - feedthrough at PO + G_B";
@@ -217,10 +225,10 @@ TranslationAnalysis Translator::analyze_amp_offset() const {
   // PO: inject a large probe offset and confirm the propagated output DC is
   // insensitive to it (it carries only the ADC offset).
   MSTS_REQUIRE(amp_idx_.has_value(), "amp analysis needs an amplifier block");
-  SignalAttributes probe_zero = make_stimulus(graph_.analog_fs, {});
+  SignalAttributes probe_zero = make_stimulus(graph().analog_fs, {});
   SignalAttributes probe_big = probe_zero;
   probe_big.dc =
-      Uncertain::exact(graph_.blocks[*amp_idx_].amp.dc_offset_v.upper() + 10e-3);
+      Uncertain::exact(graph().blocks[*amp_idx_].amp.dc_offset_v.upper() + 10e-3);
   const double dc_zero = model_.forward(probe_zero).dc.nominal;
   const double dc_big = model_.forward(probe_big).dc.nominal;
   MSTS_REQUIRE(std::abs(dc_big - dc_zero) < 1e-9,
@@ -233,15 +241,15 @@ TranslationAnalysis Translator::analyze_amp_offset() const {
 }
 
 TranslationAnalysis Translator::analyze_amp_hd3() const {
+  MSTS_REQUIRE(amp_idx_.has_value(), "amp analysis needs an amplifier block");
+  return analyze_amp_hd3(linear_probe_response());
+}
+
+TranslationAnalysis Translator::analyze_amp_hd3(const SignalAttributes& out) const {
   TranslationAnalysis a;
   // HD3 of the RF tone sits at 3*f_rf; after down-conversion it is at
   // |3 f_rf - f_lo| ≈ 2 f_lo, far outside the LPF. Verify via propagation.
   MSTS_REQUIRE(amp_idx_.has_value(), "amp analysis needs an amplifier block");
-  SignalAttributes probe = make_stimulus(
-      graph_.analog_fs,
-      {ToneAttr{Uncertain::exact(lo_freq() + test_if_freq()),
-                Uncertain::exact(linear_drive_vpeak()), Uncertain::exact(0.0)}});
-  const SignalAttributes out = model_.forward(probe);
   double hd3_at_po = 0.0;
   for (const SpurAttr& s : out.spurs) {
     if (s.origin == "amp.HD3") hd3_at_po = std::max(hd3_at_po, s.amplitude.nominal);
@@ -253,7 +261,7 @@ TranslationAnalysis Translator::analyze_amp_hd3() const {
     a.formula = "amp HD3 falls outside the LPF after down-conversion: "
                 "untranslatable; covered indirectly by the path IIP3 test";
   } else {
-    const analog::AmpParams& amp = graph_.blocks[*amp_idx_].amp;
+    const analog::AmpParams& amp = graph().blocks[*amp_idx_].amp;
     a.method = TranslationMethod::kPropagation;
     a.error = Uncertain(0.0, amp.gain_db.wc, amp.gain_db.sigma);
     a.formula = "HD3 measured at PO corrected by G_path";

@@ -86,6 +86,8 @@ class Translator {
   /// observable — on this path it does not, so the analysis reports
   /// kDirectDft (the paper's "tests ... may become untranslatable").
   TranslationAnalysis analyze_mixer_lo_isolation() const;
+  /// Same, over an already propagated linear_probe_response().
+  TranslationAnalysis analyze_mixer_lo_isolation(const SignalAttributes& probe_out) const;
 
   /// Amplifier DC offset: blocked by the mixer (no DC through a multiplying
   /// mixer), hence kDirectDft on a heterodyne path.
@@ -94,6 +96,13 @@ class Translator {
   /// Amplifier HD3: the harmonics of an RF tone fall outside the LPF after
   /// down-conversion; reports kDirectDft with the attribute-domain evidence.
   TranslationAnalysis analyze_amp_hd3() const;
+  /// Same, over an already propagated linear_probe_response().
+  TranslationAnalysis analyze_amp_hd3(const SignalAttributes& probe_out) const;
+
+  /// The primary output's attributes for the linear-drive RF probe
+  /// (linear_drive_vpeak() at the first LO frequency + test_if_freq()): the
+  /// evidence the LO-isolation and amp-HD3 analyses both read.
+  SignalAttributes linear_probe_response() const;
 
   /// ADC offset by composition (it is the only DC source reaching the PO).
   TranslationAnalysis analyze_adc_offset() const;
@@ -145,8 +154,8 @@ class Translator {
   double pre_mixer_gain_db() const;
   /// LO frequency of the first mixer stage (0 when the graph has none).
   double lo_freq() const;
+  const path::PathGraphConfig& graph() const { return model_.graph(); }
 
-  path::PathGraphConfig graph_;
   PathAttrModel model_;
   /// First block of each kind the analyses reason about (graph index; the
   /// canonical chain has mixer at PathAttrModel::kMixer).

@@ -49,9 +49,14 @@ PathConfig reference_path_config();
 /// (PathGraph, PathAttrModel, graph_from_config). Throws via MSTS_REQUIRE
 /// on the first violated rule:
 ///   * analog_fs must be a positive, finite rate;
+///   * every Uncertain (block tolerances, analog_flatness_db) finite, with
+///     wc >= 0 and sigma >= 0;
+///   * lo freq_hz in (0, analog_fs/2), lo amplitude finite and > 0;
 ///   * adc_decimation >= 1;
 ///   * adc bits inside the digital filter's input-width budget [2, 24];
+///   * adc vref finite and > 0;
 ///   * lpf order a positive even biquad-cascade order;
+///   * lpf cutoff_hz +/- wc in (0, analog_fs/2), lpf clock_hz finite and > 0;
 ///   * fir_taps odd and >= 3 (type-I linear-phase design);
 ///   * fir_cutoff_norm in (0, 0.5);
 ///   * fir_coeff_frac_bits in [1, 30] (the int32 coefficient budget).

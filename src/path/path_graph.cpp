@@ -93,17 +93,59 @@ namespace {
 // Per-block parameter rules shared by validate(PathConfig) and
 // validate(PathGraphConfig). Kept here so the two descriptions can never
 // drift apart.
+void validate_uncertain(const stats::Uncertain& u, const char* name) {
+  MSTS_REQUIRE(std::isfinite(u.nominal) && std::isfinite(u.wc) &&
+                   std::isfinite(u.sigma) && u.wc >= 0.0 && u.sigma >= 0.0,
+               std::string(name) + " must be finite with wc >= 0 and sigma >= 0");
+}
+
+void validate_amp_block(const analog::AmpParams& amp) {
+  validate_uncertain(amp.gain_db, "amp gain_db");
+  validate_uncertain(amp.iip3_dbm, "amp iip3_dbm");
+  validate_uncertain(amp.iip2_dbm, "amp iip2_dbm");
+  validate_uncertain(amp.p1db_in_dbm, "amp p1db_in_dbm");
+  validate_uncertain(amp.nf_db, "amp nf_db");
+  validate_uncertain(amp.dc_offset_v, "amp dc_offset_v");
+}
+
+void validate_mixer_block(const analog::MixerParams& mixer, const analog::LoParams& lo,
+                          double analog_fs) {
+  validate_uncertain(mixer.conv_gain_db, "mixer conv_gain_db");
+  validate_uncertain(mixer.iip3_dbm, "mixer iip3_dbm");
+  validate_uncertain(mixer.p1db_in_dbm, "mixer p1db_in_dbm");
+  validate_uncertain(mixer.lo_isolation_db, "mixer lo_isolation_db");
+  validate_uncertain(mixer.nf_db, "mixer nf_db");
+  MSTS_REQUIRE(lo.freq_hz > 0.0 && lo.freq_hz < analog_fs / 2.0,
+               "lo freq_hz must lie in (0, analog_fs/2)");
+  MSTS_REQUIRE(std::isfinite(lo.amplitude) && lo.amplitude > 0.0,
+               "lo amplitude must be finite and > 0");
+  validate_uncertain(lo.freq_error_ppm, "lo freq_error_ppm");
+  validate_uncertain(lo.phase_noise_rad, "lo phase_noise_rad");
+}
+
 void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
   MSTS_REQUIRE(decimation >= 1, "decimation must be >= 1");
   MSTS_REQUIRE(adc.bits >= 2 && adc.bits <= 24,
                "adc bits must be in [2, 24] (digital filter input-width budget)");
-  MSTS_REQUIRE(adc.vref > 0.0, "adc vref must be > 0");
+  MSTS_REQUIRE(std::isfinite(adc.vref) && adc.vref > 0.0,
+               "adc vref must be finite and > 0");
+  validate_uncertain(adc.offset_error_v, "adc offset_error_v");
+  validate_uncertain(adc.gain_error, "adc gain_error");
+  validate_uncertain(adc.inl_peak_lsb, "adc inl_peak_lsb");
+  validate_uncertain(adc.dnl_sigma_lsb, "adc dnl_sigma_lsb");
 }
 
-void validate_lpf_block(const analog::LpfParams& lpf) {
+void validate_lpf_block(const analog::LpfParams& lpf, double analog_fs) {
   MSTS_REQUIRE(lpf.order >= 2 && lpf.order % 2 == 0,
                "lpf order must be a positive even biquad-cascade order");
-  MSTS_REQUIRE(lpf.cutoff_hz.nominal > 0.0, "lpf cutoff must be > 0");
+  validate_uncertain(lpf.cutoff_hz, "lpf cutoff_hz");
+  validate_uncertain(lpf.passband_gain_db, "lpf passband_gain_db");
+  validate_uncertain(lpf.clock_spur_v, "lpf clock_spur_v");
+  // The attribute model designs the cutoff +/- wc filters at analog_fs.
+  MSTS_REQUIRE(lpf.cutoff_hz.lower() > 0.0 && lpf.cutoff_hz.upper() < analog_fs / 2.0,
+               "lpf cutoff_hz +/- wc must lie in (0, analog_fs/2)");
+  MSTS_REQUIRE(std::isfinite(lpf.clock_hz) && lpf.clock_hz > 0.0,
+               "lpf clock_hz must be finite and > 0");
 }
 
 void validate_fir_block(std::size_t taps, double cutoff_norm, int frac_bits) {
@@ -126,8 +168,11 @@ std::vector<std::int32_t> design_fir(std::size_t taps, double cutoff_norm,
 void validate(const PathConfig& config) {
   MSTS_REQUIRE(std::isfinite(config.analog_fs) && config.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
+  validate_uncertain(config.analog_flatness_db, "analog_flatness_db");
+  validate_amp_block(config.amp);
+  validate_mixer_block(config.mixer, config.lo, config.analog_fs);
   validate_adc_block(config.adc, config.adc_decimation);
-  validate_lpf_block(config.lpf);
+  validate_lpf_block(config.lpf, config.analog_fs);
   validate_fir_block(config.fir_taps, config.fir_cutoff_norm,
                      config.fir_coeff_frac_bits);
 }
@@ -135,6 +180,7 @@ void validate(const PathConfig& config) {
 void validate(const PathGraphConfig& graph) {
   MSTS_REQUIRE(std::isfinite(graph.analog_fs) && graph.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
+  validate_uncertain(graph.analog_flatness_db, "analog_flatness_db");
   MSTS_REQUIRE(!graph.blocks.empty(), "path graph needs at least one block");
   MSTS_REQUIRE(graph.count(BlockKind::kAdc) == 1,
                "path graph needs exactly one ADC block");
@@ -145,12 +191,16 @@ void validate(const PathGraphConfig& graph) {
     const BlockConfig& b = graph.blocks[i];
     switch (b.kind) {
       case BlockKind::kAmp:
+        MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
+        validate_amp_block(b.amp);
+        break;
       case BlockKind::kMixer:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
+        validate_mixer_block(b.mixer, b.lo, graph.analog_fs);
         break;
       case BlockKind::kLpf:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
-        validate_lpf_block(b.lpf);
+        validate_lpf_block(b.lpf, graph.analog_fs);
         break;
       case BlockKind::kAdc:
         validate_adc_block(b.adc, b.adc_decimation);

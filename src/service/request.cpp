@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "base/require.h"
 #include "core/translation.h"
 
 namespace msts::service {
@@ -16,7 +17,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(bytes, sizeof bytes);
 }
 
 void put_i64(std::string& out, std::int64_t v) {
@@ -48,57 +51,85 @@ void put_spec(std::string& out, const stats::SpecLimits& s) {
 
 // One block of the effective graph: the kind tag first (so reordered blocks
 // always produce different bytes), then exactly the fields that kind uses.
-void put_block(std::string& out, const path::BlockConfig& b) {
-  put_i64(out, static_cast<std::int64_t>(b.kind));
-  switch (b.kind) {
-    case path::BlockKind::kAmp:
-      put_uncertain(out, b.amp.gain_db);
-      put_uncertain(out, b.amp.iip3_dbm);
-      put_uncertain(out, b.amp.iip2_dbm);
-      put_uncertain(out, b.amp.p1db_in_dbm);
-      put_uncertain(out, b.amp.nf_db);
-      put_uncertain(out, b.amp.dc_offset_v);
-      break;
-    case path::BlockKind::kMixer:
-      put_uncertain(out, b.mixer.conv_gain_db);
-      put_uncertain(out, b.mixer.iip3_dbm);
-      put_uncertain(out, b.mixer.p1db_in_dbm);
-      put_uncertain(out, b.mixer.lo_isolation_db);
-      put_uncertain(out, b.mixer.nf_db);
-      put_double(out, b.lo.freq_hz);
-      put_uncertain(out, b.lo.freq_error_ppm);
-      put_uncertain(out, b.lo.phase_noise_rad);
-      put_double(out, b.lo.amplitude);
-      break;
-    case path::BlockKind::kLpf:
-      put_uncertain(out, b.lpf.cutoff_hz);
-      put_uncertain(out, b.lpf.passband_gain_db);
-      put_i64(out, b.lpf.order);
-      put_double(out, b.lpf.clock_hz);
-      put_uncertain(out, b.lpf.clock_spur_v);
-      break;
-    case path::BlockKind::kAdc:
-      put_i64(out, b.adc.bits);
-      put_double(out, b.adc.vref);
-      put_uncertain(out, b.adc.offset_error_v);
-      put_uncertain(out, b.adc.gain_error);
-      put_uncertain(out, b.adc.inl_peak_lsb);
-      put_uncertain(out, b.adc.dnl_sigma_lsb);
-      put_u64(out, b.adc_decimation);
-      break;
-    case path::BlockKind::kFir:
-      put_u64(out, b.fir_taps);
-      put_double(out, b.fir_cutoff_norm);
-      put_i64(out, b.fir_coeff_frac_bits);
-      break;
-  }
+void put_amp(std::string& out, const analog::AmpParams& amp) {
+  put_i64(out, static_cast<std::int64_t>(path::BlockKind::kAmp));
+  put_uncertain(out, amp.gain_db);
+  put_uncertain(out, amp.iip3_dbm);
+  put_uncertain(out, amp.iip2_dbm);
+  put_uncertain(out, amp.p1db_in_dbm);
+  put_uncertain(out, amp.nf_db);
+  put_uncertain(out, amp.dc_offset_v);
+}
+
+void put_mixer(std::string& out, const analog::MixerParams& mixer,
+               const analog::LoParams& lo) {
+  put_i64(out, static_cast<std::int64_t>(path::BlockKind::kMixer));
+  put_uncertain(out, mixer.conv_gain_db);
+  put_uncertain(out, mixer.iip3_dbm);
+  put_uncertain(out, mixer.p1db_in_dbm);
+  put_uncertain(out, mixer.lo_isolation_db);
+  put_uncertain(out, mixer.nf_db);
+  put_double(out, lo.freq_hz);
+  put_uncertain(out, lo.freq_error_ppm);
+  put_uncertain(out, lo.phase_noise_rad);
+  put_double(out, lo.amplitude);
+}
+
+void put_lpf(std::string& out, const analog::LpfParams& lpf) {
+  put_i64(out, static_cast<std::int64_t>(path::BlockKind::kLpf));
+  put_uncertain(out, lpf.cutoff_hz);
+  put_uncertain(out, lpf.passband_gain_db);
+  put_i64(out, lpf.order);
+  put_double(out, lpf.clock_hz);
+  put_uncertain(out, lpf.clock_spur_v);
+}
+
+void put_adc(std::string& out, const analog::AdcParams& adc, std::size_t decimation) {
+  put_i64(out, static_cast<std::int64_t>(path::BlockKind::kAdc));
+  put_i64(out, adc.bits);
+  put_double(out, adc.vref);
+  put_uncertain(out, adc.offset_error_v);
+  put_uncertain(out, adc.gain_error);
+  put_uncertain(out, adc.inl_peak_lsb);
+  put_uncertain(out, adc.dnl_sigma_lsb);
+  put_u64(out, decimation);
+}
+
+void put_fir(std::string& out, std::size_t taps, double cutoff_norm, int frac_bits) {
+  put_i64(out, static_cast<std::int64_t>(path::BlockKind::kFir));
+  put_u64(out, taps);
+  put_double(out, cutoff_norm);
+  put_i64(out, frac_bits);
 }
 
 void put_graph(std::string& out, const path::PathGraphConfig& g) {
   put_double(out, g.analog_fs);
   put_uncertain(out, g.analog_flatness_db);
   put_u64(out, g.blocks.size());
-  for (const path::BlockConfig& b : g.blocks) put_block(out, b);
+  for (const path::BlockConfig& b : g.blocks) {
+    switch (b.kind) {
+      case path::BlockKind::kAmp: put_amp(out, b.amp); break;
+      case path::BlockKind::kMixer: put_mixer(out, b.mixer, b.lo); break;
+      case path::BlockKind::kLpf: put_lpf(out, b.lpf); break;
+      case path::BlockKind::kAdc: put_adc(out, b.adc, b.adc_decimation); break;
+      case path::BlockKind::kFir:
+        put_fir(out, b.fir_taps, b.fir_cutoff_norm, b.fir_coeff_frac_bits);
+        break;
+    }
+  }
+}
+
+// The bytes put_graph writes for graph_from_config(c), without building that
+// graph: amp -> mixer -> lpf -> adc -> fir.
+void put_canonical_graph(std::string& out, const path::PathConfig& c) {
+  put_double(out, c.analog_fs);
+  put_uncertain(out, c.analog_flatness_db);
+  put_u64(out, 5);
+  put_amp(out, c.amp);
+  put_mixer(out, c.mixer, c.lo);
+  put_lpf(out, c.lpf);
+  put_adc(out, c.adc, c.adc_decimation);
+  put_fir(out, c.fir_taps, c.fir_cutoff_norm, c.fir_coeff_frac_bits);
 }
 
 void put_study(std::string& out, const core::ParameterStudy& s) {
@@ -130,15 +161,12 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
-}  // namespace
-
-path::PathGraphConfig effective_graph(const SynthesisRequest& request) {
-  return request.graph ? *request.graph : path::graph_from_config(request.config);
-}
-
-MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
-                                        const path::MeasureOptions& opts) {
-  const core::Translator translator(graph);
+MeasurementSetup setup_from(const core::Translator& translator,
+                            const path::MeasureOptions& opts) {
+  MSTS_REQUIRE(opts.window >= dsp::WindowType::kRectangular &&
+                   opts.window <= dsp::WindowType::kFlatTop,
+               "measure.window must name a known WindowType");
+  const path::PathGraphConfig& graph = translator.model().graph();
   MeasurementSetup setup;
   setup.record = opts;
   setup.analog_fs_hz = graph.analog_fs;
@@ -151,25 +179,39 @@ MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
   return setup;
 }
 
+}  // namespace
+
+path::PathGraphConfig effective_graph(const SynthesisRequest& request) {
+  return request.graph ? *request.graph : path::graph_from_config(request.config);
+}
+
+MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
+                                        const path::MeasureOptions& opts) {
+  return setup_from(core::Translator(graph), opts);
+}
+
 MeasurementSetup make_measurement_setup(const path::PathConfig& config,
                                         const path::MeasureOptions& opts) {
   return make_measurement_setup(path::graph_from_config(config), opts);
 }
 
 SynthesisResult synthesize_direct(const SynthesisRequest& request) {
-  const path::PathGraphConfig graph = effective_graph(request);
-  const core::TestSynthesizer synth(graph, request.options.adaptive,
+  const core::TestSynthesizer synth(effective_graph(request), request.options.adaptive,
                                     request.options.spec_sigmas);
   SynthesisResult result;
+  result.setup = setup_from(synth.translator(), request.options.measure);
   result.plan = synth.synthesize();
-  result.setup = make_measurement_setup(graph, request.options.measure);
   return result;
 }
 
 std::string content_key(const SynthesisRequest& request) {
   std::string key;
   key.reserve(768);
-  put_graph(key, effective_graph(request));
+  if (request.graph) {
+    put_graph(key, *request.graph);
+  } else {
+    put_canonical_graph(key, request.config);
+  }
   put_bool(key, request.options.adaptive);
   put_double(key, request.options.spec_sigmas);
   put_u64(key, request.options.measure.digital_record);

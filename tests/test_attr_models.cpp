@@ -3,6 +3,7 @@
 // the tolerances it claims.
 #include "core/attr_models.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
 #include "path/measurements.h"
+#include "stats/rng.h"
 
 namespace msts::core {
 namespace {
@@ -96,20 +98,55 @@ TEST(MixerAttrModel, DcBecomesLoSpurNotOutputDc) {
 }
 
 TEST(LpfAttrModel, AttenuationFollowsResponse) {
-  const LpfAttrModel lpf(cfg().lpf);
+  const LpfAttrModel lpf(cfg().lpf, cfg().analog_fs);
   const analog::LowPassFilter ref(cfg().lpf);
   for (double f : {100e3, 500e3, 1e6, 2e6, 5e6}) {
-    const auto g = lpf.gain_at(f, cfg().analog_fs);
+    const auto g = lpf.gain_at(f);
     EXPECT_NEAR(g.nominal, ref.magnitude_at(f, cfg().analog_fs), 1e-12) << f;
   }
   // Cutoff tolerance matters at the edge, not deep in the pass-band.
-  const auto g_pass = lpf.gain_at(100e3, cfg().analog_fs);
-  const auto g_edge = lpf.gain_at(1e6, cfg().analog_fs);
+  const auto g_pass = lpf.gain_at(100e3);
+  const auto g_edge = lpf.gain_at(1e6);
   EXPECT_GT(g_edge.wc / g_edge.nominal, 2.0 * g_pass.wc / g_pass.nominal);
 }
 
+// The model designs its three cascades once; the values they give must be
+// the bits of filters designed per call, as LowPassFilter does: the nominal
+// gain is the nominal filter's magnitude, and the worst case is built from
+// the cutoff +/- wc filters' magnitudes exactly as before.
+TEST(LpfAttrModel, DesignedResponsesMatchFilterMagnitude) {
+  stats::Rng rng(917);
+  const double fs = cfg().analog_fs;
+  const double rel_per_db = std::log(10.0) / 20.0;
+  for (int trial = 0; trial < 200; ++trial) {
+    analog::LpfParams p;
+    const double fc = rng.uniform(0.2e6, 6e6);
+    p.cutoff_hz = Uncertain::from_tolerance(fc, fc * rng.uniform(0.0, 0.2));
+    p.passband_gain_db = Uncertain::from_tolerance(rng.uniform(-2.0, 2.0),
+                                                   rng.uniform(0.0, 1.0));
+    p.order = 2 + 2 * static_cast<int>(rng.uniform(0.0, 4.0));
+    const LpfAttrModel model(p, fs);
+
+    analog::LpfParams hi = p;
+    hi.cutoff_hz = Uncertain::exact(p.cutoff_hz.nominal + p.cutoff_hz.wc);
+    analog::LpfParams lo = p;
+    lo.cutoff_hz = Uncertain::exact(p.cutoff_hz.nominal - p.cutoff_hz.wc);
+    const analog::LowPassFilter nominal_filter(p), hi_filter(hi), lo_filter(lo);
+    for (int k = 0; k < 8; ++k) {
+      const double f = rng.uniform(0.0, fs / 2.0);
+      const double h = nominal_filter.magnitude_at(f, fs);
+      const double wc_from_fc = std::max(std::abs(hi_filter.magnitude_at(f, fs) - h),
+                                         std::abs(lo_filter.magnitude_at(f, fs) - h));
+      const Uncertain g = model.gain_at(f);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " f " << f);
+      EXPECT_EQ(g.nominal, h);
+      EXPECT_EQ(g.wc, wc_from_fc + h * rel_per_db * p.passband_gain_db.wc);
+    }
+  }
+}
+
 TEST(LpfAttrModel, AddsClockSpurAndShrinksNoiseBand) {
-  const LpfAttrModel lpf(cfg().lpf);
+  const LpfAttrModel lpf(cfg().lpf, cfg().analog_fs);
   auto in = rf_probe(400e3, 1e-3);
   in.noise_power = Uncertain::exact(1e-8);
   const auto out = lpf.forward(in);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "obs/trace.h"
 #include "service/cache.h"
 #include "service/request.h"
+#include "stats/rng.h"
 
 namespace msts::service {
 namespace {
@@ -204,6 +206,67 @@ TEST(ServiceRequest, ResultFingerprintTracksContent) {
   EXPECT_NE(result_content(r1), result_content(r2));
 }
 
+// The four block arrangements of the scenario sweep over one config:
+// canonical, if-amp, dual-lpf, no-amp.
+path::PathGraphConfig pinned_topology(int topology, const path::PathConfig& c) {
+  using path::BlockConfig;
+  const BlockConfig amp = BlockConfig::make_amp(c.amp);
+  const BlockConfig mixer = BlockConfig::make_mixer(c.mixer, c.lo);
+  const BlockConfig lpf = BlockConfig::make_lpf(c.lpf);
+  const BlockConfig adc = BlockConfig::make_adc(c.adc, c.adc_decimation);
+  const BlockConfig fir =
+      BlockConfig::make_fir(c.fir_taps, c.fir_cutoff_norm, c.fir_coeff_frac_bits);
+  path::PathGraphConfig g;
+  g.analog_fs = c.analog_fs;
+  g.analog_flatness_db = c.analog_flatness_db;
+  switch (topology) {
+    case 0: g.blocks = {amp, mixer, lpf, adc, fir}; break;
+    case 1: g.blocks = {mixer, amp, lpf, adc, fir}; break;
+    case 2: g.blocks = {amp, mixer, lpf, lpf, adc, fir}; break;
+    default: g.blocks = {mixer, lpf, adc, fir}; break;
+  }
+  return g;
+}
+
+// Every byte a served plan carries, pinned: one FNV-1a over the result
+// fingerprint and the content hash of 400 seeded requests spanning the four
+// topologies (the canonical one both flat and as an explicit graph), LPF
+// orders 2/4/6, adaptive on and off, spec placements from 0.5 to 6 sigma and
+// three record lengths. Synthesis consumes no randomness and touches no SIMD
+// kernel, so the literal holds on every thread count and backend; it moves
+// only when a plan's content does.
+TEST(ServiceRequest, ResultFingerprintsArePinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  stats::Rng rng(20260417);
+  const std::size_t records[] = {2048, 4096, 8192};
+  for (int i = 0; i < 400; ++i) {
+    SynthesisRequest req;
+    path::PathConfig& c = req.config;
+    c = path::reference_path_config();
+    c.amp.gain_db.nominal += rng.uniform(-0.5, 0.5);
+    c.amp.iip3_dbm.nominal += rng.uniform(-1.0, 1.0);
+    c.mixer.conv_gain_db.nominal += rng.uniform(-0.5, 0.5);
+    c.mixer.iip3_dbm.nominal += rng.uniform(-1.0, 1.0);
+    c.mixer.p1db_in_dbm.nominal += rng.uniform(-0.5, 0.5);
+    c.lpf.cutoff_hz.nominal *= 1.0 + rng.uniform(-0.05, 0.05);
+    c.lpf.order = 2 + 2 * (i % 3);
+    const int topology = (i / 3) % 4;
+    if (topology != 0 || i % 2 == 1) req.graph = pinned_topology(topology, c);
+    req.options.adaptive = (i / 12) % 2 == 0;
+    req.options.spec_sigmas = rng.uniform(0.5, 6.0);
+    req.options.measure.digital_record = records[(i / 24) % 3];
+    fold(result_fingerprint(synthesize_direct(req)));
+    fold(content_hash(req));
+  }
+  EXPECT_EQ(h, 0x843df19fe3b9bcaeull);
+}
+
 // ---------------------------------------------------------------------------
 // PlanCache
 // ---------------------------------------------------------------------------
@@ -338,9 +401,9 @@ TEST(ServiceEngine, SynthesisErrorPropagatesThroughFuture) {
 }
 
 TEST(ServiceEngine, NonFiniteParameterFailsThroughFuture) {
-  // A NaN nominal passes path validation but reaches evaluate_test through
-  // the P1dB threshold study, which rejects it: the request fails instead of
-  // serving a plan whose study reads yield NaN and FCL / YL 0.
+  // A NaN nominal would reach evaluate_test through the P1dB threshold
+  // study and serve a plan whose study reads yield NaN and FCL / YL 0; path
+  // validation rejects it first, and the request fails.
   SynthesisRequest bad = make_request();
   bad.config.mixer.p1db_in_dbm.nominal = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)synthesize_direct(bad), std::invalid_argument);
@@ -348,6 +411,59 @@ TEST(ServiceEngine, NonFiniteParameterFailsThroughFuture) {
   auto future = engine.submit(bad);
   EXPECT_THROW((void)future.get(), std::invalid_argument);
   EXPECT_NE(engine.submit(make_request()).get().result, nullptr);
+  EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+// Each of these describes a test the transient or measurement code would
+// refuse to run (or a spec nobody can place), so none may be served or
+// cached: validation names the field before synthesis starts.
+TEST(ServiceEngine, MalformedRequestsFailThroughFuture) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    std::function<void(SynthesisRequest&)> spoil;
+  };
+  const Case cases[] = {
+      {"unknown window",
+       [](SynthesisRequest& r) {
+         r.options.measure.window = static_cast<dsp::WindowType>(99);
+       }},
+      {"LO at DC", [](SynthesisRequest& r) { r.config.lo.freq_hz = 0.0; }},
+      {"negative LO", [](SynthesisRequest& r) { r.config.lo.freq_hz = -10e6; }},
+      {"LO above Nyquist", [](SynthesisRequest& r) { r.config.lo.freq_hz = 20e6; }},
+      {"silent LO", [](SynthesisRequest& r) { r.config.lo.amplitude = 0.0; }},
+      {"NaN LPF clock", [](SynthesisRequest& r) { r.config.lpf.clock_hz = kNaN; }},
+      {"NaN LO isolation",
+       [](SynthesisRequest& r) { r.config.mixer.lo_isolation_db.nominal = kNaN; }},
+      {"infinite ADC vref", [](SynthesisRequest& r) { r.config.adc.vref = kInf; }},
+      {"NaN amp P1dB wc",
+       [](SynthesisRequest& r) { r.config.amp.p1db_in_dbm.wc = kNaN; }},
+      {"negative mixer P1dB sigma",
+       [](SynthesisRequest& r) { r.config.mixer.p1db_in_dbm.sigma = -1.0; }},
+      {"infinite spec placement",
+       [](SynthesisRequest& r) { r.options.spec_sigmas = kInf; }},
+      {"cutoff tolerance reaching DC",
+       [](SynthesisRequest& r) { r.config.lpf.cutoff_hz.wc = 1.5e6; }},
+      {"graph LO above Nyquist",
+       [](SynthesisRequest& r) {
+         r.graph = path::graph_from_config(r.config);
+         r.graph->blocks[1].lo.freq_hz = 20e6;
+       }},
+  };
+  SynthesisEngine engine;
+  (void)engine.submit(make_request()).get();
+  const std::size_t cached = engine.cache_size();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SynthesisRequest bad = make_request();
+    c.spoil(bad);
+    EXPECT_THROW((void)synthesize_direct(bad), std::invalid_argument);
+    auto future = engine.submit(bad);
+    EXPECT_THROW((void)future.get(), std::invalid_argument);
+    EXPECT_EQ(engine.cache_size(), cached);
+  }
+  EXPECT_NE(engine.submit(make_request(1)).get().result, nullptr);
   EXPECT_EQ(engine.in_flight(), 0u);
 }
 

@@ -2,11 +2,14 @@
 #include "core/synthesizer.h"
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "check/yield_quadrature.h"
+#include "obs/config.h"
+#include "obs/registry.h"
 
 namespace msts::core {
 namespace {
@@ -157,6 +160,27 @@ TEST(TestSynthesizer, LossesStayExactForSpecsFarInTheTail) {
     EXPECT_GT(study.row("Tol").outcome.defect_rate, 0.0) << study.parameter;
     EXPECT_GT(study.row("Tol-Err").outcome.fault_coverage_loss, 0.5) << study.parameter;
   }
+}
+
+TEST(TestSynthesizer, CanonicalPlanPropagationCountIsPinned) {
+  // The exact attribute-propagation work of one canonical adaptive plan:
+  // every translator analysis runs once per synthesize(), and LO isolation
+  // and amp HD3 share one forward of the linear-drive probe (recomputing
+  // per row and per study would take 40).
+  const obs::Config saved = obs::current_config();
+  obs::Config config;
+  config.metrics = true;
+  obs::configure(config);
+  const TestSynthesizer synth(cfg(), true);
+  obs::Registry::instance().reset();
+  (void)synth.synthesize();
+  std::uint64_t forwards = 0;
+  for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
+    if (m.name == "core.attr.block_forwards") forwards = m.count;
+  }
+  obs::Registry::instance().reset();
+  obs::configure(saved);
+  EXPECT_EQ(forwards, 22u);
 }
 
 TEST(TestSynthesizer, FormattersProduceReadableTables) {
