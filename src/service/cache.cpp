@@ -1,12 +1,16 @@
 #include "service/cache.h"
 
+#include "base/spin.h"
 #include "obs/registry.h"
 
 namespace msts::service {
 
+// Every served request probes the cache, so concurrent workers spin for its
+// short lock instead of blocking (base/spin.h).
 std::shared_ptr<const SynthesisResult> PlanCache::lookup(const std::string& key) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    lock_spinning(lock);
     auto it = map_.find(key);
     if (it != map_.end()) {
       obs::counter_add("service.cache.hit");
@@ -20,7 +24,8 @@ std::shared_ptr<const SynthesisResult> PlanCache::lookup(const std::string& key)
 std::shared_ptr<const SynthesisResult> PlanCache::insert(
     const std::string& key, std::shared_ptr<const SynthesisResult> result) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    lock_spinning(lock);
     auto it = map_.find(key);
     if (it == map_.end()) {
       map_.emplace(key, result);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "base/require.h"
+#include "base/spin.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -73,9 +74,13 @@ std::size_t SynthesisEngine::in_flight() const {
   return pending_;
 }
 
+// The admission lock is held for one counter update; the submitting thread
+// and the workers all take it once per request, so they spin for it
+// briefly instead of blocking (base/spin.h).
 std::future<Served> SynthesisEngine::submit(SynthesisRequest request) {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    lock_spinning(lock);
     cv_space_.wait(lock, [this] { return pending_ < options_.queue_capacity; });
     ++pending_;
   }
@@ -85,7 +90,8 @@ std::future<Served> SynthesisEngine::submit(SynthesisRequest request) {
 std::optional<std::future<Served>> SynthesisEngine::try_submit(
     SynthesisRequest request) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    lock_spinning(lock);
     if (pending_ >= options_.queue_capacity) {
       obs::counter_add("service.requests.rejected");
       return std::nullopt;
@@ -123,7 +129,8 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
     // in_flight(). The engine destructor still cannot outrun the tail of
     // this lambda — it joins the workers after the pending_ wait.
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+      lock_spinning(lock);
       --pending_;
     }
     cv_space_.notify_all();

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "base/require.h"
+#include "base/spin.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -43,10 +44,12 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    lock_spinning(lock);
     queue_.push_back(std::move(task));
+    queued_.store(queue_.size());
   }
-  cv_work_.notify_one();
+  cv_work_.notify_one();  // a no-op unless a worker is parked
 }
 
 void ThreadPool::wait_idle() {
@@ -55,22 +58,37 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
+    if (queue_.empty() && !stop_) {
+      // Poll the unlocked size hint first; park only once kIdleSpin has
+      // passed. queue_ itself is only ever touched under the lock.
+      lock.unlock();
+      const auto park_at = std::chrono::steady_clock::now() + kIdleSpin;
+      for (;;) {
+        if (queued_.load() != 0 && lock.try_lock()) {
+          if (!queue_.empty()) break;
+          lock.unlock();  // another worker took it
+        }
+        if (std::chrono::steady_clock::now() >= park_at) {
+          lock.lock();
+          break;
+        }
+        std::this_thread::yield();
+      }
       cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
     }
+    if (stop_ && queue_.empty()) return;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    queued_.store(queue_.size());
+    ++in_flight_;
+    lock.unlock();
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
+    task = nullptr;  // the task's captures die outside the lock
+    lock_spinning(lock);
+    --in_flight_;
+    if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
   }
 }
 

@@ -24,6 +24,8 @@
 // callers share the workers through the same deques.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -46,10 +48,11 @@ int max_threads();
 /// given; 0 (the library-wide default) resolves to max_threads().
 int resolve_threads(int requested);
 
-/// Small fixed-size thread-pool executor. Workers are parked on a condition
-/// variable between jobs; submitted tasks run in FIFO order on whichever
-/// worker frees up first. Used through parallel_for_index() below; exposed
-/// for callers that need raw task submission.
+/// Small fixed-size thread-pool executor. A worker that runs out of tasks
+/// polls for new ones for up to kIdleSpin, yielding the CPU between polls,
+/// then parks on a condition variable; submitted tasks run in FIFO order on
+/// whichever worker frees up first. Used through parallel_for_index() below;
+/// exposed for callers that need raw task submission.
 class ThreadPool {
  public:
   /// Spawns `workers` worker threads (>= 1).
@@ -67,6 +70,12 @@ class ThreadPool {
   /// Blocks until the queue is empty and every submitted task has finished.
   void wait_idle();
 
+  /// How long an idle worker polls before it parks. A closed-loop caller
+  /// (the synthesis service) submits its next request a few microseconds
+  /// after the last one completes; polling catches it without a futex wake
+  /// and without letting the worker's CPU halt (see base/spin.h).
+  static constexpr std::chrono::microseconds kIdleSpin{50};
+
  private:
   void worker_loop();
 
@@ -77,6 +86,7 @@ class ThreadPool {
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
+  std::atomic<std::size_t> queued_{0};  ///< queue_.size(), a hint read unlocked
 };
 
 /// Runs fn(i) for every i in [0, n) using up to `threads` threads (resolved
