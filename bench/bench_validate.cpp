@@ -1,7 +1,10 @@
 // Schema validator for the BENCH_*.json files emitted by obs::BenchReport.
 // The bench_smoke CTest label runs every bench at reduced scale and then
 // this tool over the emitted file; a malformed or incomplete report fails
-// the test. Usage: bench_validate BENCH_<name>.json...
+// the test. Reports of traced runs must carry their span sections whole:
+// `spans` comes with `spans_dropped` and a `span_stages` array whose entries
+// each have a name and numeric count / total / min / max / p50 / p99.
+// Usage: bench_validate BENCH_<name>.json...
 //
 // --trace switches to validating Chrome/Perfetto trace-event files (the
 // MSTS_TRACE_PATH export from obs/span.h): a traceEvents array whose "X"
@@ -96,8 +99,40 @@ bool validate(const char* path) {
     }
   }
 
-  std::printf("bench_validate: %s OK (%zu phases, %zu scalars)\n", path,
-              phases->array.size(), scalars->object.size());
+  // Traced reports carry the span sections together (obs/bench_report.h).
+  std::size_t stages_checked = 0;
+  if (const Value* spans = doc->find("spans"); spans != nullptr) {
+    if (!is_number(spans) || spans->number < 0.0) {
+      return fail(path, "'spans' is " + number_problem(spans));
+    }
+    const Value* dropped = doc->find("spans_dropped");
+    if (!is_number(dropped) || dropped->number < 0.0) {
+      return fail(path, "'spans_dropped' is " + number_problem(dropped));
+    }
+    const Value* stages = doc->find("span_stages");
+    if (stages == nullptr || !stages->is_array()) {
+      return fail(path, "'spans' without a 'span_stages' array");
+    }
+    for (const Value& st : stages->array) {
+      if (!st.is_object()) return fail(path, "span_stages entry is not an object");
+      const Value* name = st.find("name");
+      if (name == nullptr || !name->is_string() || name->string.empty()) {
+        return fail(path, "span_stages entry missing 'name'");
+      }
+      for (const char* field :
+           {"count", "total_ns", "min_ns", "max_ns", "p50_ns", "p99_ns"}) {
+        const Value* v = st.find(field);
+        if (!is_number(v) || v->number < 0.0) {
+          return fail(path, "span stage '" + name->string + "': '" + field +
+                                "' is " + number_problem(v));
+        }
+      }
+    }
+    stages_checked = stages->array.size();
+  }
+
+  std::printf("bench_validate: %s OK (%zu phases, %zu scalars, %zu span stages)\n",
+              path, phases->array.size(), scalars->object.size(), stages_checked);
   return true;
 }
 

@@ -1,6 +1,6 @@
 # Runs one bench at reduced scale with span tracing on and a Perfetto export
 # path set, then validates both outputs: the BENCH_<name>.json report (which
-# must now carry the spans / span_stages sections) and the exported Chrome
+# must carry a non-empty spans / span_stages section) and the exported Chrome
 # trace-event file (bench_validate --trace checks slice shape and async
 # begin/end balance). Invoked by the trace_smoke CTest test as
 #   cmake -DBENCH_EXE=... -DVALIDATOR=... -DJSON_NAME=... -DOUT_DIR=...
@@ -32,6 +32,22 @@ execute_process(COMMAND "${VALIDATOR}" "${OUT_DIR}/${JSON_NAME}"
                 RESULT_VARIABLE validate_rc)
 if(NOT validate_rc EQUAL 0)
   message(FATAL_ERROR "bench report validation failed (status ${validate_rc})")
+endif()
+
+# The validator checks the span sections when they are present; a traced
+# run must also have them, with at least one span recorded.
+file(READ "${OUT_DIR}/${JSON_NAME}" report)
+string(JSON span_count ERROR_VARIABLE spans_err GET "${report}" spans)
+if(spans_err)
+  message(FATAL_ERROR "traced report has no 'spans': ${spans_err}")
+endif()
+string(JSON stage_count ERROR_VARIABLE stages_err LENGTH "${report}" span_stages)
+if(stages_err)
+  message(FATAL_ERROR "traced report has no 'span_stages': ${stages_err}")
+endif()
+if(span_count LESS_EQUAL 0 OR stage_count LESS_EQUAL 0)
+  message(FATAL_ERROR "traced report recorded nothing: spans=${span_count}, "
+                      "span_stages has ${stage_count} entries")
 endif()
 
 if(NOT EXISTS "${OUT_DIR}/trace.json")

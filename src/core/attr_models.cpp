@@ -11,7 +11,6 @@
 #include "dsp/fir_design.h"
 #include "dsp/metrics.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "stats/uncertain.h"
 
 namespace msts::core {
@@ -374,35 +373,8 @@ PathAttrModel::PathAttrModel(const path::PathGraphConfig& graph) : graph_(graph)
 SignalAttributes PathAttrModel::forward_upto(const SignalAttributes& rf,
                                              std::size_t nblocks) const {
   MSTS_REQUIRE(nblocks <= blocks_.size(), "block index out of range");
-  // With tracing on, every propagation step records what the SignalAttributes
-  // look like after each block (tone/spur census, strongest tone, DC, noise),
-  // keyed by block index so a drained trace reads in cascade order.
-  const bool traced = obs::trace_enabled();
   SignalAttributes sig = rf;
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    sig = blocks_[i]->forward(sig);
-    if (traced) {
-      double a_max = 0.0;
-      double f_at_max = 0.0;
-      for (const ToneAttr& t : sig.tones) {
-        if (t.amplitude.nominal > a_max) {
-          a_max = t.amplitude.nominal;
-          f_at_max = t.freq.nominal;
-        }
-      }
-      obs::trace_emit({obs::TraceKind::kAttrStep,
-                       blocks_[i]->name(),
-                       i,
-                       {{"block", static_cast<std::int64_t>(i)},
-                        {"fs", sig.fs},
-                        {"tones", static_cast<std::int64_t>(sig.tones.size())},
-                        {"spurs", static_cast<std::int64_t>(sig.spurs.size())},
-                        {"max_tone_v", a_max},
-                        {"max_tone_hz", f_at_max},
-                        {"dc_v", sig.dc.nominal},
-                        {"noise_power_v2", sig.noise_power.nominal}}});
-    }
-  }
+  for (std::size_t i = 0; i < nblocks; ++i) sig = blocks_[i]->forward(sig);
   obs::counter_add(kBlockForwards, nblocks);
   return sig;
 }

@@ -1,7 +1,7 @@
 #include "core/coverage.h"
 
 #include "base/require.h"
-#include "obs/scoped_timer.h"
+#include "obs/span.h"
 
 namespace msts::core {
 
@@ -19,7 +19,7 @@ ParameterStudy threshold_study(const std::string& parameter, const std::string& 
                                const stats::Uncertain& error,
                                ErrorTreatment treatment) {
   MSTS_REQUIRE(error.wc >= 0.0, "error must be non-negative");
-  obs::ScopedTimer timer("core.threshold_study");
+  obs::Span span("core.threshold_study");
   ParameterStudy s;
   s.parameter = parameter;
   s.unit = unit;

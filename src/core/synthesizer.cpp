@@ -7,7 +7,6 @@
 
 #include "base/require.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
 
 namespace msts::core {
@@ -111,7 +110,6 @@ ParameterStudy TestSynthesizer::study_lpf_cutoff() const {
 
 ParameterStudy TestSynthesizer::study_mixer_p1db(
     const TranslationAnalysis& analysis) const {
-  obs::ScopedTimer timer("core.study_mixer_p1db");
   obs::Span span("core.study_mixer_p1db");
   const auto* mixer = first_block(graph(), path::BlockKind::kMixer);
   MSTS_REQUIRE(mixer != nullptr, "study needs a mixer block");
@@ -124,7 +122,6 @@ ParameterStudy TestSynthesizer::study_mixer_p1db(
 
 ParameterStudy TestSynthesizer::study_mixer_iip3(
     const TranslationAnalysis& analysis) const {
-  obs::ScopedTimer timer("core.study_mixer_iip3");
   obs::Span span("core.study_mixer_iip3");
   const auto* mixer = first_block(graph(), path::BlockKind::kMixer);
   MSTS_REQUIRE(mixer != nullptr, "study needs a mixer block");
@@ -137,7 +134,6 @@ ParameterStudy TestSynthesizer::study_mixer_iip3(
 
 ParameterStudy TestSynthesizer::study_lpf_cutoff(
     const TranslationAnalysis& analysis) const {
-  obs::ScopedTimer timer("core.study_lpf_cutoff");
   obs::Span span("core.study_lpf_cutoff");
   const auto* lpf = first_block(graph(), path::BlockKind::kLpf);
   MSTS_REQUIRE(lpf != nullptr, "study needs an LPF block");
@@ -149,7 +145,6 @@ ParameterStudy TestSynthesizer::study_lpf_cutoff(
 }
 
 std::vector<PlannedTest> TestSynthesizer::synthesize() const {
-  obs::ScopedTimer timer("core.synthesize");
   obs::Span span("core.synthesize");
   obs::counter_add("core.synthesize.calls");
   PlanAnalyses analyses(translator_, adaptive_);

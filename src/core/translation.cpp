@@ -6,7 +6,6 @@
 #include "base/require.h"
 #include "base/units.h"
 #include "dsp/tonegen.h"
-#include "obs/trace.h"
 
 namespace msts::core {
 
@@ -27,25 +26,6 @@ namespace {
 /// noise, windowing, record length). Determined empirically in the tests;
 /// small compared to any block tolerance.
 Uncertain measurement_floor_db() { return Uncertain(0.0, 0.05, 0.02); }
-
-/// Records how one attribute's analysis was resolved: translation method
-/// (composition vs propagation vs untranslatable), the propagated error
-/// budget, and the formula actually chosen. `extra` carries per-analysis
-/// fields (e.g. whether the adaptive gain substitution replaced nominals).
-TranslationAnalysis traced(const char* attr, TranslationAnalysis a,
-                           std::vector<std::pair<std::string, obs::TraceValue>> extra = {}) {
-  if (obs::trace_enabled()) {
-    std::vector<std::pair<std::string, obs::TraceValue>> fields = {
-        {"method", to_string(a.method)},
-        {"translatable", a.translatable},
-        {"error_wc", a.error.wc},
-        {"error_sigma", a.error.sigma},
-        {"formula", a.formula}};
-    for (auto& f : extra) fields.push_back(std::move(f));
-    obs::trace_emit({obs::TraceKind::kTranslation, attr, 0, std::move(fields)});
-  }
-  return a;
-}
 
 }  // namespace
 
@@ -110,7 +90,7 @@ TranslationAnalysis Translator::analyze_path_gain() const {
   a.method = TranslationMethod::kComposition;
   a.error = measurement_floor_db();
   a.formula = "G_path = A_out(PO) / A_in(PI); composed over amp+mixer+lpf+adc";
-  return traced("path_gain", std::move(a));
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_mixer_iip3(bool adaptive) const {
@@ -131,7 +111,7 @@ TranslationAnalysis Translator::analyze_mixer_iip3(bool adaptive) const {
     a.error = Uncertain(0.0, g_mb.wc, g_mb.sigma);
     a.formula = "IIP3 = X + (X-Y)/2 - (G_M + G_B)(nominal)";
   }
-  return traced("mixer_iip3", std::move(a), {{"adaptive", adaptive}});
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_mixer_p1db() const {
@@ -142,7 +122,7 @@ TranslationAnalysis Translator::analyze_mixer_p1db() const {
   const Uncertain g_a = model_.gain_db_to(*mixer_idx_, f_rf);
   a.error = Uncertain(0.0, g_a.wc, g_a.sigma) + measurement_floor_db();
   a.formula = "P1dB(mixer,in) = P1dB(path,PI measured) + G_A(nominal)";
-  return traced("mixer_p1db", std::move(a));
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_lpf_cutoff() const {
@@ -164,7 +144,7 @@ TranslationAnalysis Translator::analyze_lpf_cutoff() const {
   const Uncertain flat = graph().analog_flatness_db + measurement_floor_db();
   a.error = Uncertain(0.0, flat.wc * hz_per_db, flat.sigma * hz_per_db);
   a.formula = "f_c from -3 dB crossing of G(f)/G(f_ref); FIR response divided out";
-  return traced("lpf_cutoff", std::move(a));
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_lo_freq_error() const {
@@ -174,7 +154,7 @@ TranslationAnalysis Translator::analyze_lo_freq_error() const {
   // over the record, far below the 10 ppm tolerance. Budget 0.5 ppm.
   a.error = Uncertain(0.0, 0.5, 0.17);
   a.formula = "f_LO = f_RF(known) - f_out(estimated); error in ppm";
-  return traced("lo_freq_error", std::move(a));
+  return a;
 }
 
 SignalAttributes Translator::linear_probe_response() const {
@@ -215,8 +195,7 @@ TranslationAnalysis Translator::analyze_mixer_lo_isolation(
     a.error = Uncertain(0.0, mixer.conv_gain_db.wc, mixer.conv_gain_db.sigma);
     a.formula = "isolation = LO level - feedthrough at PO + G_B";
   }
-  return traced("mixer_lo_isolation", std::move(a),
-                {{"feedthrough_v", feedthrough}, {"min_detectable_v", min_det}});
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_amp_offset() const {
@@ -237,7 +216,7 @@ TranslationAnalysis Translator::analyze_amp_offset() const {
   a.translatable = false;
   a.formula = "amp DC offset is blocked by the mixer (heterodyne path): "
               "untranslatable without a test point";
-  return traced("amp_offset", std::move(a));
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_amp_hd3() const {
@@ -266,8 +245,7 @@ TranslationAnalysis Translator::analyze_amp_hd3(const SignalAttributes& out) con
     a.error = Uncertain(0.0, amp.gain_db.wc, amp.gain_db.sigma);
     a.formula = "HD3 measured at PO corrected by G_path";
   }
-  return traced("amp_hd3", std::move(a),
-                {{"hd3_at_po_v", hd3_at_po}, {"min_detectable_v", min_det}});
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_adc_offset() const {
@@ -277,7 +255,7 @@ TranslationAnalysis Translator::analyze_adc_offset() const {
   // *is* the ADC offset; the error is the measurement floor only.
   a.error = Uncertain(0.0, 0.2e-3, 0.07e-3);  // volts
   a.formula = "offset(ADC) = DC(PO) / H_fir(0); other DC sources blocked by mixer";
-  return traced("adc_offset", std::move(a));
+  return a;
 }
 
 TranslationAnalysis Translator::analyze_path_nf() const {
@@ -291,7 +269,7 @@ TranslationAnalysis Translator::analyze_path_nf() const {
   const Uncertain g = model_.path_gain_db(f_rf);
   a.error = Uncertain(0.0, g.wc, g.sigma) + measurement_floor_db();
   a.formula = "NF_path from SNR(PO) with known input level, referred by G_path";
-  return traced("path_nf", std::move(a));
+  return a;
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace msts::obs {
 
@@ -99,13 +98,7 @@ void BenchReport::phase_start(std::string label) {
 void BenchReport::phase_end() {
   MSTS_REQUIRE(phase_open_, "no bench phase is open");
   phase_open_ = false;
-  const double wall_s = seconds_since(phase_start_);
-  if (trace_enabled()) {
-    trace_emit({TraceKind::kPhase, name_ + "." + open_phase_,
-                static_cast<std::uint64_t>(phases_.size()),
-                {{"wall_s", wall_s}}});
-  }
-  phases_.push_back({std::move(open_phase_), wall_s});
+  phases_.push_back({std::move(open_phase_), seconds_since(phase_start_)});
 }
 
 void BenchReport::add_scalar(std::string key, double value) {
@@ -184,8 +177,6 @@ bool BenchReport::write() {
     spans_lost = spans_dropped();  // read before the drain resets it
     spans = spans_drain();
     stages = latency_attribution(spans);
-    w.kv("trace_events",
-         static_cast<std::uint64_t>(trace_pending()) + trace_dropped());
     w.kv("spans", static_cast<std::uint64_t>(spans.size()));
     w.kv("spans_dropped", spans_lost);
     w.key("span_stages").begin_array();

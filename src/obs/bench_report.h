@@ -18,7 +18,6 @@
 //   "labels":  { "<key>": "<string>", ... },          // optional
 //   "metrics": [ {"name": ..., "kind": ..., "count": ...,
 //                 "total_ns": ...}, ... ],            // MSTS_METRICS only
-//   "trace_events": <int>,                            // MSTS_TRACE only
 //   "spans": <int>, "spans_dropped": <int>,           // MSTS_TRACE only
 //   "span_stages": [ {"name": ..., "count": ..., "total_ns": ...,
 //                     "min_ns": ..., "max_ns": ...,

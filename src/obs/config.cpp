@@ -12,10 +12,12 @@
 
 namespace msts::obs {
 
+namespace detail {
+std::atomic<std::uint8_t> g_switches{kUnparsed};
+}  // namespace detail
+
 namespace {
 
-std::atomic<bool> g_metrics{false};
-std::atomic<bool> g_trace{false};
 std::once_flag g_env_init;
 
 // The export path changes rarely (startup / tests); a mutex-guarded leaked
@@ -49,14 +51,24 @@ void validate_trace_path(const Config& config, const char* origin) {
   }
 }
 
-void ensure_env_init() {
-  std::call_once(g_env_init, [] {
-    const Config c = Config::from_env();
-    g_metrics.store(c.metrics, std::memory_order_relaxed);
-    g_trace.store(c.trace, std::memory_order_relaxed);
+std::uint8_t switches_of(const Config& config) {
+  return static_cast<std::uint8_t>((config.metrics ? kMetricsOn : 0) |
+                                   (config.trace ? kTraceOn : 0));
+}
+
+void install(const Config& config) {
+  {
     std::lock_guard<std::mutex> lock(trace_path_mutex());
-    trace_path_storage() = c.trace_path;
-  });
+    trace_path_storage() = config.trace_path;
+  }
+  detail::g_switches.store(switches_of(config), std::memory_order_relaxed);
+}
+
+// A malformed environment throws out of call_once, which leaves the flag
+// unset: the switch word keeps its unparsed mark and the next use throws
+// again, so a bad variable can never be half-applied.
+void ensure_env_init() {
+  std::call_once(g_env_init, [] { install(Config::from_env()); });
 }
 
 [[noreturn]] void bad_env(const char* name, const char* value,
@@ -84,17 +96,14 @@ void configure(const Config& config) {
   // explicit configuration with the environment defaults.
   ensure_env_init();
   validate_trace_path(config, "Config::trace_path");
-  g_metrics.store(config.metrics, std::memory_order_relaxed);
-  g_trace.store(config.trace, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(trace_path_mutex());
-  trace_path_storage() = config.trace_path;
+  install(config);
 }
 
 Config current_config() {
-  ensure_env_init();
+  const std::uint8_t s = switches();
   Config c;
-  c.metrics = g_metrics.load(std::memory_order_relaxed);
-  c.trace = g_trace.load(std::memory_order_relaxed);
+  c.metrics = (s & kMetricsOn) != 0;
+  c.trace = (s & kTraceOn) != 0;
   std::lock_guard<std::mutex> lock(trace_path_mutex());
   c.trace_path = trace_path_storage();
   return c;
@@ -106,14 +115,9 @@ std::string trace_path() {
   return trace_path_storage();
 }
 
-bool metrics_enabled() {
+std::uint8_t detail::parse_env_switches() {
   ensure_env_init();
-  return g_metrics.load(std::memory_order_relaxed);
-}
-
-bool trace_enabled() {
-  ensure_env_init();
-  return g_trace.load(std::memory_order_relaxed);
+  return g_switches.load(std::memory_order_relaxed);
 }
 
 bool env_flag(const char* name) {

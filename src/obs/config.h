@@ -1,18 +1,20 @@
 // Runtime configuration of the observability layer.
 //
 // Two independent switches control what msts::obs collects:
-//  * metrics — scoped timers, counters and histograms (obs/registry.h);
-//  * trace   — structured trace events (obs/trace.h).
+//  * metrics — counters, histograms and span timers (obs/registry.h);
+//  * trace   — span records for the trace (obs/span.h).
 // Both default to off and are near-zero-cost while off: every instrumented
-// call site performs one relaxed atomic load and nothing else (no clock
-// read, no allocation, no lock).
+// call site performs one relaxed atomic load of the word holding both
+// switches and one branch (no clock read, no allocation, no lock).
 //
 // The switches come from the environment on first use (MSTS_METRICS and
 // MSTS_TRACE) and can be overridden programmatically with configure() —
 // tests and long-lived services flip collection on and off that way.
 // Environment parsing is strict: a set-but-malformed variable throws
 // std::invalid_argument naming the variable, instead of silently running
-// with a misparsed configuration.
+// with a misparsed configuration. The parse runs once, off the fast path:
+// the switch word starts out marked unparsed, and only a load that sees the
+// mark takes the slow path.
 //
 // MSTS_TRACE_PATH names the Chrome/Perfetto trace file span collection
 // exports to (obs/span.h; BenchReport::write() flushes there). Parsing is
@@ -22,6 +24,8 @@
 // malformed MSTS_THREADS — instead of silently tracing to nowhere.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -29,8 +33,8 @@ namespace msts::obs {
 
 /// The observability switches.
 struct Config {
-  bool metrics = false;  ///< Timers / counters / histograms collect.
-  bool trace = false;    ///< Structured trace events + spans collect.
+  bool metrics = false;  ///< Counters / histograms / span timers collect.
+  bool trace = false;    ///< Span records collect.
   /// Destination for the Chrome/Perfetto span export; empty = no export.
   /// Only meaningful with trace on (from_env / configure enforce this).
   std::string trace_path;
@@ -48,11 +52,30 @@ void configure(const Config& config);
 /// The currently active configuration.
 Config current_config();
 
-/// True when metric collection is on. One relaxed atomic load.
-bool metrics_enabled();
+/// Bits of the switch word returned by switches().
+inline constexpr std::uint8_t kMetricsOn = 1;
+inline constexpr std::uint8_t kTraceOn = 2;
 
-/// True when trace collection is on. One relaxed atomic load.
-bool trace_enabled();
+namespace detail {
+/// Set in g_switches until the environment has been read.
+inline constexpr std::uint8_t kUnparsed = 4;
+extern std::atomic<std::uint8_t> g_switches;
+/// Slow path: parses the environment once and returns the settled word.
+std::uint8_t parse_env_switches();
+}  // namespace detail
+
+/// Both switches in one word (kMetricsOn | kTraceOn). One relaxed atomic
+/// load once the environment has been read.
+inline std::uint8_t switches() {
+  const std::uint8_t s = detail::g_switches.load(std::memory_order_relaxed);
+  return (s & detail::kUnparsed) != 0 ? detail::parse_env_switches() : s;
+}
+
+/// True when metric collection is on.
+inline bool metrics_enabled() { return (switches() & kMetricsOn) != 0; }
+
+/// True when trace collection is on.
+inline bool trace_enabled() { return (switches() & kTraceOn) != 0; }
 
 /// The configured trace-export path ("" when none). Not a hot-path call
 /// (takes a lock); exporters read it once per flush.

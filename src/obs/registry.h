@@ -10,7 +10,12 @@
 // merge" half of the obs contract. (Wall-clock *durations* are inherently
 // non-deterministic; the determinism guarantee is that, for deterministic
 // inputs, counter totals, sample counts and histogram bins are bit-identical
-// at any thread count.)
+// at any thread count.) The exception is the metrics that describe the
+// schedule itself: the sched.* and stats.parallel_for.* counters (chunks,
+// steals, serial vs parallel runs), the sched.queue_depth histogram, and
+// the span timers of the scheduler regions — sched.task (one sample per
+// chunk), sched.run and stats.parallel_for (none on the serial path). Their
+// sample counts follow the thread count and the schedule by design.
 //
 // Thread lifetime contract: a sink merges eagerly into the registry's
 // retired totals when its thread exits (the thread_local destructor), and
@@ -32,6 +37,8 @@
 // When metrics are disabled (obs::metrics_enabled() == false) the free
 // functions below return after a single relaxed atomic load: no clock read,
 // no allocation, no lock. Hot loops may be instrumented unconditionally.
+// Timers are recorded by spans (obs/span.h), which time a scope under the
+// span's own name.
 #pragma once
 
 #include <array>

@@ -113,17 +113,16 @@ Sink::~Sink() {
   if (owner != nullptr) owner->retire(*this);
 }
 
-void note_timer_sample(const SpanRecord& rec) {
-  if (!metrics_enabled()) return;
-  // "span.<name>" timers give every stage count/total/min/max in the bench
-  // report's metrics section without a separate aggregation pass.
-  char buf[96];
-  const int n = std::snprintf(buf, sizeof buf, "span.%s", rec.name);
-  if (n > 0) {
-    Registry::instance().timer_record_ns(
-        std::string_view(buf, std::min<std::size_t>(static_cast<std::size_t>(n),
-                                                    sizeof buf - 1)),
-        rec.dur_ns);
+// The Span rule, shared by Span::close() and span_emit(): a timer sample
+// under the span's own name with metrics on, a ring record with tracing on.
+// Records without an id were built with tracing off and stay out of the
+// ring, exactly like a Span constructed then.
+void record(const SpanRecord& rec, std::uint8_t on) {
+  if ((on & kMetricsOn) != 0) Registry::instance().timer_record_ns(rec.name, rec.dur_ns);
+  if ((on & kTraceOn) != 0 && rec.id != 0) {
+    Sink& s = Collector::instance().local_sink();
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.push(rec);
   }
 }
 
@@ -151,30 +150,28 @@ std::uint32_t span_thread_id() {
   return t_tid;
 }
 
-Span::Span(const char* name) : Span(name, t_current_span) {}
-
-Span::Span(const char* name, SpanId parent) : armed_(trace_enabled()) {
-  if (!armed_) return;
+void Span::open(const char* name, SpanId parent, bool inherit) {
   rec_.name = name;
-  rec_.id = span_allocate_id();
-  rec_.parent = parent;
-  rec_.tid = span_thread_id();
+  if ((switches_ & kTraceOn) != 0) {
+    rec_.id = span_allocate_id();
+    rec_.parent = inherit ? t_current_span : parent;
+    rec_.tid = span_thread_id();
+    saved_current_ = t_current_span;
+    t_current_span = rec_.id;
+  }
   rec_.start_ns = span_ns_since_epoch(std::chrono::steady_clock::now());
-  saved_current_ = t_current_span;
-  t_current_span = rec_.id;
 }
 
-Span::~Span() {
-  if (!armed_) return;
+void Span::close() {
   const std::uint64_t end_ns =
       span_ns_since_epoch(std::chrono::steady_clock::now());
   rec_.dur_ns = end_ns > rec_.start_ns ? end_ns - rec_.start_ns : 0;
-  t_current_span = saved_current_;
-  span_emit(rec_);
+  if ((switches_ & kTraceOn) != 0) t_current_span = saved_current_;
+  record(rec_, switches_);
 }
 
 void Span::note(const char* key, std::int64_t v) {
-  if (!armed_ || rec_.note_count >= SpanRecord::kMaxNotes) return;
+  if ((switches_ & kTraceOn) == 0 || rec_.note_count >= SpanRecord::kMaxNotes) return;
   SpanNote& n = rec_.notes[rec_.note_count++];
   n.key = key;
   n.type = SpanNote::Type::kInt;
@@ -182,7 +179,7 @@ void Span::note(const char* key, std::int64_t v) {
 }
 
 void Span::note(const char* key, double v) {
-  if (!armed_ || rec_.note_count >= SpanRecord::kMaxNotes) return;
+  if ((switches_ & kTraceOn) == 0 || rec_.note_count >= SpanRecord::kMaxNotes) return;
   SpanNote& n = rec_.notes[rec_.note_count++];
   n.key = key;
   n.type = SpanNote::Type::kDouble;
@@ -220,12 +217,7 @@ SpanRecord span_record_between(const char* name, SpanId id, SpanId parent,
   return rec;
 }
 
-void span_emit(const SpanRecord& rec) {
-  note_timer_sample(rec);
-  Sink& s = Collector::instance().local_sink();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.push(rec);
-}
+void span_emit(const SpanRecord& rec) { record(rec, switches()); }
 
 std::vector<SpanRecord> spans_drain() {
   Collector& c = Collector::instance();

@@ -1,14 +1,20 @@
-// Request-scoped spans: the tracing layer above obs::trace's flat events.
+// Spans: the toolkit's one scoped instrument.
 //
 // A Span measures one stage of work — monotonic start, duration, a static
 // name, the parent span, the recording thread and up to kMaxNotes small
-// key/value annotations — and the records from every thread assemble into a
-// per-request span *tree* (service request -> queue wait / cache probe /
-// execute -> synthesize -> parallel blocks -> plan-cache builds). Collection
-// is gated by obs::trace_enabled(): while tracing is off a Span costs one
-// relaxed atomic load in the constructor and one branch in the destructor —
-// no clock read, no allocation, no lock — so the request path is
-// instrumented unconditionally.
+// key/value annotations. What it records follows the two switches of
+// obs/config.h, read once at construction:
+//  * metrics on — one registry timer sample under the span's own name
+//    (obs/registry.h), so a stage's count / total / min / max lands in every
+//    metric snapshot;
+//  * trace on — an id, the thread's parent cursor and a ring record; the
+//    records from every thread assemble into a per-request span *tree*
+//    (service request -> queue wait / cache probe / execute -> synthesize
+//    -> threshold studies -> parallel tasks -> plan-cache builds).
+// With metrics alone a span has no id and touches no cursor (id() is 0).
+// With both off it costs one relaxed atomic load in the constructor and one
+// branch in the destructor — no clock read, no allocation, no lock — so hot
+// paths are instrumented unconditionally.
 //
 // Buffering follows the registry's sink model (obs/registry.h): every thread
 // writes into its own fixed-capacity ring buffer behind a per-thread mutex
@@ -26,7 +32,8 @@
 // explicit parent, which stitches the tree across threads. Manual emission
 // (span_record_between + span_emit) covers stages whose endpoints are
 // existing time_points, e.g. a request's queue wait — the span's duration
-// then reconciles exactly with timers computed from the same time points.
+// then reconciles exactly with the durations computed from the same time
+// points.
 //
 // Exporters:
 //  * spans_to_chrome_json — Chrome/Perfetto trace-event JSON ("X" complete
@@ -56,7 +63,7 @@ namespace msts::obs {
 using SpanId = std::uint64_t;
 
 /// One annotation. Keys are static strings; values are numeric so a note
-/// never allocates (string-ish payloads belong in trace events or logs).
+/// never allocates (string-ish payloads belong in logs).
 struct SpanNote {
   const char* key = nullptr;
   enum class Type : std::uint8_t { kInt, kDouble } type = Type::kInt;
@@ -86,29 +93,39 @@ struct SpanRecord {
 class Span {
  public:
   /// Nests under the calling thread's innermost open span.
-  explicit Span(const char* name);
+  explicit Span(const char* name) : switches_(switches()) {
+    if (switches_ != 0) open(name, 0, /*inherit=*/true);
+  }
   /// Explicit parent: use for work dispatched across threads (capture
   /// Span::current() on the submitting thread). parent == 0 makes a root.
-  Span(const char* name, SpanId parent);
-  ~Span();
+  Span(const char* name, SpanId parent) : switches_(switches()) {
+    if (switches_ != 0) open(name, parent, /*inherit=*/false);
+  }
+  ~Span() {
+    if (switches_ != 0) close();
+  }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attach a small annotation; silently dropped when the span is disarmed
-  /// or kMaxNotes are already attached.
+  /// Attach a small annotation; silently dropped unless tracing was on at
+  /// construction, or when kMaxNotes are already attached.
   void note(const char* key, std::int64_t v);
   void note(const char* key, double v);
 
-  /// This span's id (0 when tracing was off at construction).
+  /// This span's id (0 unless tracing was on at construction).
   SpanId id() const { return rec_.id; }
-  bool armed() const { return armed_; }
+  /// True when either switch was on at construction.
+  bool armed() const { return switches_ != 0; }
 
   /// The calling thread's innermost open span id, 0 when none / tracing off.
   static SpanId current();
 
  private:
-  bool armed_;
+  void open(const char* name, SpanId parent, bool inherit);
+  void close();
+
+  std::uint8_t switches_;  ///< obs::switches() at construction.
   SpanId saved_current_ = 0;
   SpanRecord rec_;
 };
@@ -150,9 +167,10 @@ SpanRecord span_record_between(const char* name, SpanId id, SpanId parent,
                                std::chrono::steady_clock::time_point start,
                                std::chrono::steady_clock::time_point end);
 
-/// Buffers a finished record into the calling thread's ring (and, when
-/// metrics are on, records a "span.<name>" timer sample). Collects
-/// unconditionally — gate call sites on trace_enabled() / Span::armed().
+/// Records a finished record by the Span rule: a timer sample under
+/// rec.name when metrics are on, and a ring record in the calling thread's
+/// buffer when tracing is on and the record has an id (a Span built with
+/// tracing off has none either). Costs one load while both are off.
 void span_emit(const SpanRecord& rec);
 
 /// Atomic collect-and-clear over every live ring plus the retired records

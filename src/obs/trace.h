@@ -1,79 +1,11 @@
-// Structured trace events for the paper's core objects.
-//
-// Three event kinds mirror the pipeline the paper describes:
-//  * kAttrStep    — one SignalAttributes propagation step through one block
-//                   model (core::PathAttrModel::forward_upto);
-//  * kTranslation — one translation decision: composition vs propagation,
-//                   the error budget, and the accuracy substitution the
-//                   adaptive strategy makes (core::Translator);
-//  * kMcBlock     — one parallel Monte-Carlo work unit: stream id, trial
-//                   range, wall time (stats::evaluate_test_mc,
-//                   core::validate_iip3_study_mc, digital::simulate_faults);
-//  * kPhase       — one bench phase (obs::BenchReport);
-//  * kSlowRequest — one service request whose end-to-end latency exceeded
-//                   the engine's slow-request threshold, carrying the
-//                   hex-encoded content key so the request is replayable
-//                   (service::SynthesisEngine).
-//
-// Collection is gated by obs::trace_enabled() (MSTS_TRACE or an explicit
-// configure()). Emission never perturbs numerical state: call sites only
-// read values that already exist and never touch RNG streams or reduction
-// order, so results are bit-identical with tracing on or off.
-//
-// Events are buffered in memory (bounded; see trace_dropped) and drained
-// with trace_take(), which orders them deterministically by
-// (kind, label, order) — `order` is a caller-supplied key such as the MC
-// block index, so a multi-threaded run drains in the same order as a serial
-// one. trace_to_jsonl renders a drained batch as JSON Lines.
+// Compatibility shim: the toolkit has no trace-event buffer; spans
+// (obs/span.h) are the whole trace. perfbench/harness.cpp still includes
+// this header and calls trace_take() when it drains a batch, so the call
+// stays as a no-op until perfbench drops it.
 #pragma once
-
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <variant>
-#include <vector>
-
-#include "obs/config.h"
 
 namespace msts::obs {
 
-enum class TraceKind : std::uint8_t {
-  kAttrStep,
-  kTranslation,
-  kMcBlock,
-  kPhase,
-  kSlowRequest,
-};
-
-const char* to_string(TraceKind kind);
-
-using TraceValue = std::variant<std::int64_t, double, bool, std::string>;
-
-struct TraceEvent {
-  TraceKind kind = TraceKind::kPhase;
-  std::string label;        ///< Block / parameter / phase name.
-  std::uint64_t order = 0;  ///< Deterministic sort key (block index, step, ...).
-  std::vector<std::pair<std::string, TraceValue>> fields;
-};
-
-/// Buffers one event. No-op unless tracing is enabled; thread-safe.
-/// Prefer `if (trace_enabled()) { ... trace_emit(...); }` at call sites so
-/// building the event is skipped too.
-void trace_emit(TraceEvent event);
-
-/// Drains the buffer: returns every buffered event sorted by
-/// (kind, label, order, emission) and leaves the buffer empty.
-std::vector<TraceEvent> trace_take();
-
-/// Number of currently buffered events (cheaper than trace_take().size()).
-std::size_t trace_pending();
-
-/// Events discarded because the buffer cap was reached since the last
-/// trace_take().
-std::uint64_t trace_dropped();
-
-/// Renders events as JSON Lines, one event object per line:
-/// {"kind":"mc_block","label":"...","order":3,"stream":3,...}
-std::string trace_to_jsonl(const std::vector<TraceEvent>& events);
+inline void trace_take() {}
 
 }  // namespace msts::obs

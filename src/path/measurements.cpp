@@ -6,7 +6,7 @@
 #include "base/units.h"
 #include "dsp/tonegen.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
+#include "obs/span.h"
 
 namespace msts::path {
 
@@ -83,7 +83,7 @@ dsp::Spectrum run_two_port(const PathGraph& path, std::span<const double> if_fre
 double measure_path_gain_db(const PathGraph& path, double if_freq, double amp_vpeak,
                             stats::Rng& noise_rng, const MeasureOptions& opts) {
   MSTS_REQUIRE(amp_vpeak > 0.0, "stimulus amplitude must be positive");
-  obs::ScopedTimer timer("path.measure_path_gain_db");
+  obs::Span span("path.measure_path_gain_db");
   const double freqs[] = {if_freq};
   const double amps[] = {amp_vpeak};
   const auto spectrum = run_two_port(path, freqs, amps, noise_rng, opts);
@@ -97,7 +97,7 @@ TwoToneResponse measure_two_tone(const PathGraph& path, double f1_if, double f2_
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
   MSTS_REQUIRE(f1_if != f2_if, "two-tone test needs distinct tones");
-  obs::ScopedTimer timer("path.measure_two_tone");
+  obs::Span span("path.measure_two_tone");
   const double freqs[] = {f1_if, f2_if};
   const double amps[] = {amp_vpeak, amp_vpeak};
   const auto spectrum = run_two_port(path, freqs, amps, noise_rng, opts);
@@ -117,7 +117,7 @@ TwoToneResponse measure_two_tone(const PathGraph& path, double f1_if, double f2_
 
 double measure_path_p1db_dbm(const PathGraph& path, double if_freq,
                              stats::Rng& noise_rng, const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_path_p1db_dbm");
+  obs::Span span("path.measure_path_p1db_dbm");
   // Establish the small-signal gain, then raise the drive until it has
   // dropped by 1 dB; log-domain bisection between the last two points.
   const double small_dbm = -45.0;
@@ -150,7 +150,7 @@ double measure_path_p1db_dbm(const PathGraph& path, double if_freq,
 
 double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
                               stats::Rng& noise_rng, const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_path_cutoff_hz");
+  obs::Span span("path.measure_path_cutoff_hz");
   const PathGraphConfig& c = path.config();
   // Reference gain deep in the pass-band.
   const double f_ref = coherent_if(c, opts, 100e3);
@@ -174,7 +174,7 @@ double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
 
 double measure_output_dc_v(const PathGraph& path, stats::Rng& noise_rng,
                            const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_output_dc_v");
+  obs::Span span("path.measure_output_dc_v");
   MeasureScratch& s = scratch();
   s.rf.fs = path.config().analog_fs;
   s.rf.samples.assign(analog_record(path.config(), opts), 0.0);
@@ -192,7 +192,7 @@ double measure_output_dc_v(const PathGraph& path, stats::Rng& noise_rng,
 dsp::SpectralReport measure_spectrum_report(const PathGraph& path, double if_freq,
                                             double amp_vpeak, stats::Rng& noise_rng,
                                             const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_spectrum_report");
+  obs::Span span("path.measure_spectrum_report");
   const double freqs[] = {if_freq};
   const double amps[] = {amp_vpeak};
   const auto spectrum = run_two_port(path, freqs, amps, noise_rng, opts);
@@ -204,7 +204,7 @@ dsp::SpectralReport measure_spectrum_report(const PathGraph& path, double if_fre
 double measure_group_delay_s(const PathGraph& path, double if_freq,
                              double amp_vpeak, stats::Rng& noise_rng,
                              const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_group_delay_s");
+  obs::Span span("path.measure_group_delay_s");
   const PathGraphConfig& c = path.config();
   const double bin_w = c.digital_fs() / static_cast<double>(opts.digital_record);
   // The phase difference between the two tones is only known mod 2 pi, so the
@@ -257,7 +257,7 @@ double measure_group_delay_s(const PathGraph& path, double if_freq,
 double measure_lo_freq_error_ppm(const PathGraph& path, double if_freq,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_lo_freq_error_ppm");
+  obs::Span span("path.measure_lo_freq_error_ppm");
   const double freqs[] = {if_freq};
   const double amps[] = {amp_vpeak};
   MeasureScratch& s = scratch();

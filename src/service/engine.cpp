@@ -10,7 +10,6 @@
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace msts::service {
 
@@ -108,19 +107,21 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
   const auto admitted_at = std::chrono::steady_clock::now();
   // The request's root span id is allocated on the *submitting* thread so
   // the root can record the submitter's innermost span as its parent,
-  // stitching the tree across the pool dispatch.
+  // stitching the tree across the pool dispatch. One load decides, at
+  // admission, whether the request records its stages at all.
+  const std::uint8_t on = obs::switches();
   obs::SpanId root = 0;
   obs::SpanId submitter = 0;
-  if (obs::trace_enabled()) {
+  if ((on & obs::kTraceOn) != 0) {
     root = obs::span_allocate_id();
     submitter = obs::Span::current();
   }
   pool_->submit([this, promise = std::move(promise), request = std::move(request),
-                 admitted_at, root, submitter]() mutable {
+                 admitted_at, root, submitter, recorded = on != 0]() mutable {
     Served served;
     std::exception_ptr error;
     try {
-      served = execute(request, admitted_at, root);
+      served = execute(request, admitted_at, root, recorded);
     } catch (...) {
       error = std::current_exception();
     }
@@ -135,6 +136,7 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
     }
     cv_space_.notify_all();
     const Served served_copy = served;  // shared_ptr + PODs; for post-fulfill reporting
+    bool slow = false;
     if (error != nullptr) {
       obs::counter_add("service.requests.errors");
       promise->set_exception(error);
@@ -144,9 +146,9 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
         obs::Span fulfill("service.fulfill", root);
         promise->set_value(std::move(served));
       }
-      report_if_slow(request, served_copy);
+      slow = report_if_slow(request, served_copy);
     }
-    if (root != 0 && obs::trace_enabled()) {
+    if (recorded) {
       // Root closes after fulfillment so its duration covers the whole
       // admission-to-done lifetime; async because requests overlap.
       obs::SpanRecord rec = obs::span_record_between(
@@ -154,6 +156,7 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
           std::chrono::steady_clock::now());
       add_note(rec, "cache_hit", served_copy.cache_hit ? 1 : 0);
       add_note(rec, "error", error != nullptr ? 1 : 0);
+      add_note(rec, "slow", slow ? 1 : 0);
       obs::span_emit(rec);
     }
   });
@@ -162,18 +165,20 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
 
 Served SynthesisEngine::execute(const SynthesisRequest& request,
                                 std::chrono::steady_clock::time_point admitted_at,
-                                obs::SpanId root) {
+                                obs::SpanId root, bool recorded) {
   const auto started_at = std::chrono::steady_clock::now();
   Served served;
   served.queue_wait_ns = ns_between(admitted_at, started_at);
-  obs::timer_record_ns("service.request.queue_wait", served.queue_wait_ns);
-  const bool traced = root != 0 && obs::trace_enabled();
-  if (traced) {
-    // Same time points (and the same clamp-at-0) as queue_wait_ns above, so
-    // the span duration reconciles with the timer exactly. Async: the wait
-    // overlaps whatever this worker thread was doing for other requests.
-    obs::span_emit(obs::span_record_between("service.queue_wait",
-                                            obs::span_allocate_id(), root,
+  // The three stage records are built from the same time points (and the
+  // same clamp-at-0) as queue_wait_ns and exec_ns, so their timers and
+  // spans reconcile with Served exactly. They are emitted when either
+  // switch was on at admission; ids, and with them ring records, exist only
+  // for requests admitted with tracing on.
+  const auto stage_id = [root] { return root != 0 ? obs::span_allocate_id() : 0; };
+  if (recorded) {
+    // Async: the wait overlaps whatever this worker thread was doing for
+    // other requests.
+    obs::span_emit(obs::span_record_between("service.queue_wait", stage_id(), root,
                                             /*async=*/true, admitted_at, started_at));
   }
 
@@ -181,7 +186,7 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
   // thread's parent cursor so core.synthesize (and everything under it)
   // nests beneath this stage; the record itself is emitted at the end when
   // the stage's end point is known.
-  const obs::SpanId exec_span = traced ? obs::span_allocate_id() : 0;
+  const obs::SpanId exec_span = stage_id();
   auto probe_end = started_at;
   const bool use_cache = options_.cache && request.options.use_cache;
   {
@@ -190,10 +195,10 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
       const std::string key = content_key(request);
       served.result = cache_.lookup(key);
       probe_end = std::chrono::steady_clock::now();
-      if (traced) {
+      if (recorded) {
         obs::SpanRecord probe = obs::span_record_between(
-            "service.cache_probe", obs::span_allocate_id(), root,
-            /*async=*/false, started_at, probe_end);
+            "service.cache_probe", stage_id(), root, /*async=*/false, started_at,
+            probe_end);
         add_note(probe, "hit", served.result != nullptr ? 1 : 0);
         obs::span_emit(probe);
       }
@@ -213,10 +218,9 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
 
   const auto finished_at = std::chrono::steady_clock::now();
   served.exec_ns = ns_between(started_at, finished_at);
-  obs::timer_record_ns("service.request.exec", served.exec_ns);
   obs::histogram_record("service.request.latency_s",
                         1e-9 * static_cast<double>(served.latency_ns()));
-  if (traced) {
+  if (recorded) {
     // [probe_end, finished_at]: cache_probe + execute partition
     // [started_at, finished_at], so the two stage spans sum to exec_ns.
     obs::SpanRecord rec = obs::span_record_between("service.execute", exec_span, root,
@@ -228,10 +232,10 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
   return served;
 }
 
-void SynthesisEngine::report_if_slow(const SynthesisRequest& request,
+bool SynthesisEngine::report_if_slow(const SynthesisRequest& request,
                                      const Served& served) {
   if (slow_threshold_ns_ == UINT64_MAX || served.latency_ns() <= slow_threshold_ns_) {
-    return;
+    return false;
   }
   obs::counter_add("service.slow_requests");
   const std::string key_hex = hex_bytes(content_key(request));
@@ -242,15 +246,7 @@ void SynthesisEngine::report_if_slow(const SynthesisRequest& request,
                1e-6 * static_cast<double>(served.queue_wait_ns),
                1e-6 * static_cast<double>(served.exec_ns),
                served.cache_hit ? 1 : 0, key_hex.c_str());
-  if (obs::trace_enabled()) {
-    obs::trace_emit({obs::TraceKind::kSlowRequest, "service.slow_request",
-                     served.latency_ns(),
-                     {{"latency_ns", static_cast<std::int64_t>(served.latency_ns())},
-                      {"queue_wait_ns", static_cast<std::int64_t>(served.queue_wait_ns)},
-                      {"exec_ns", static_cast<std::int64_t>(served.exec_ns)},
-                      {"cache_hit", served.cache_hit},
-                      {"content_key", key_hex}}});
-  }
+  return true;
 }
 
 std::vector<Served> SynthesisEngine::run_batch(std::vector<SynthesisRequest> requests) {

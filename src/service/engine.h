@@ -21,28 +21,30 @@
 // whether it came from a worker, the cache, or a concurrent miss that lost
 // the insertion race. result_content() equality is the test for this.
 //
-// Instrumentation (msts::obs): per-request queue-wait and execution timers
-// (service.request.{queue_wait,exec}), a latency histogram
-// (service.request.latency_s), counters service.requests.{submitted,
-// completed,rejected,errors} and the service.cache.* counters. The
-// bench_service target turns these plus its own per-request samples into
-// p50/p99 latency and plans/sec in BENCH_service.json.
-//
-// With MSTS_TRACE on, every request additionally yields a span tree
-// (obs/span.h): an async "service.request" root spanning admission to
+// Instrumentation (msts::obs): each request records its stages as spans
+// (obs/span.h) — an async "service.request" root spanning admission to
 // fulfillment, an async "service.queue_wait" child, and on-thread
-// "service.cache_probe" / "service.execute" / "service.fulfill" stages —
-// built from the *same* steady_clock time points as the timers above, so
-// the queue_wait span equals queue_wait_ns exactly and cache_probe +
-// execute sum to exec_ns exactly. Work nested inside execution
-// (core.synthesize, stats.parallel_for / sched.run / sched.task chunks,
-// dsp plan-cache builds) parents under the execute span.
+// "service.cache_probe" / "service.execute" / "service.fulfill" stages.
+// Whether a request records them is decided once, at admission: with
+// MSTS_METRICS on, each stage is a registry timer under its own name; with
+// MSTS_TRACE on, the records also assemble into the request's span tree.
+// The stage records are built from the *same* steady_clock time points as
+// Served::queue_wait_ns and exec_ns, so the queue_wait stage equals
+// queue_wait_ns exactly and cache_probe + execute sum to exec_ns exactly,
+// as timers and as spans. Work nested inside execution (core.synthesize,
+// stats.parallel_for / sched.run / sched.task chunks, dsp plan-cache
+// builds) parents under the execute span. Besides the spans: a latency
+// histogram (service.request.latency_s), counters service.requests.{
+// submitted,rejected,errors} and the service.cache.* counters.
+// The bench_service target turns these plus its own per-request samples
+// into p50/p99 latency and plans/sec in BENCH_service.json.
 //
 // Requests whose end-to-end latency exceeds the slow-request threshold
 // (EngineOptions::slow_request_threshold_s, or MSTS_SLOW_REQUEST_S when
 // that is negative; unset = disabled) bump service.slow_requests, log one
-// stderr line carrying the hex content key, and emit a kSlowRequest trace
-// event — enough to find and replay the offending request.
+// stderr line carrying the latency split and the hex content key (enough
+// to find and replay the offending request), and carry a `slow` note on
+// their service.request root span.
 #pragma once
 
 #include <chrono>
@@ -72,7 +74,7 @@ struct EngineOptions {
   /// Master cache switch (per-request use_cache can only opt *out*).
   bool cache = true;
   /// End-to-end latency (queue wait + execution, seconds) above which a
-  /// request is reported as slow (counter, stderr log, trace event).
+  /// request is reported as slow (counter, stderr log, root span note).
   /// Negative = resolve from MSTS_SLOW_REQUEST_S; unset env = disabled.
   double slow_request_threshold_s = -1.0;
 };
@@ -121,8 +123,9 @@ class SynthesisEngine {
   std::future<Served> admit(SynthesisRequest request);
   Served execute(const SynthesisRequest& request,
                  std::chrono::steady_clock::time_point admitted_at,
-                 obs::SpanId root);
-  void report_if_slow(const SynthesisRequest& request, const Served& served);
+                 obs::SpanId root, bool recorded);
+  /// Counts and logs a request over the slow threshold; true when it was.
+  bool report_if_slow(const SynthesisRequest& request, const Served& served);
 
   EngineOptions options_;
   int workers_ = 1;

@@ -4,13 +4,11 @@
 #include <bit>
 #include <exception>
 #include <iomanip>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
 #include "base/require.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
 #include "stats/parallel.h"
 #include "stats/yield.h"
@@ -174,7 +172,6 @@ ScenarioScore score_scenario(const Scenario& scenario, stats::Rng rng,
 SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                       const SweepOptions& opts) {
   MSTS_REQUIRE(!scenarios.empty(), "sweep needs at least one scenario");
-  obs::ScopedTimer timer("sweep.run");
   obs::Span span("sweep.run");
   span.note("scenarios", static_cast<std::int64_t>(scenarios.size()));
   obs::counter_add("sweep.runs");
@@ -186,43 +183,30 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   const std::vector<stats::Rng> streams =
       stats::make_streams(stats::Rng(opts.seed), scenarios.size());
 
-  // Per-scenario failures are captured here (not left to the scheduler's
-  // generic lowest-index rethrow) so the error names the scenario that
-  // failed. The same determinism rule applies: when several scenarios
-  // throw, the lowest-indexed one wins regardless of schedule.
-  std::mutex error_mu;
-  std::exception_ptr error;
-  std::size_t error_index = scenarios.size();
-
+  // A failing scenario rethrows under its own name. The scheduler rethrows
+  // the lowest failing index whatever the schedule (the serial path throws
+  // the first), so the reported scenario does not depend on the thread count.
   std::vector<ScenarioScore> scores(scenarios.size());
   const obs::SpanId parent = span.id();
-  stats::parallel_for_index(scenarios.size(), opts.threads, [&](std::size_t i) {
+  const auto score_one = [&](std::size_t i) {
     obs::Span s("sweep.scenario", parent);
     try {
       scores[i] = score_scenario(scenarios[i], streams[i], opts);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("sweep scenario '" + scenarios[i].name +
+                               "' failed: " + e.what());
     } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (i < error_index) {
-        error_index = i;
-        error = std::current_exception();
-      }
-      return;
+      throw std::runtime_error("sweep scenario '" + scenarios[i].name +
+                               "' failed: unknown error");
     }
     s.note("plan_tests", static_cast<std::int64_t>(scores[i].plan_tests));
     s.note("testability", scores[i].testability);
-  });
-
-  if (error) {
+  };
+  try {
+    stats::parallel_for_index(scenarios.size(), opts.threads, score_one);
+  } catch (...) {
     obs::counter_add("sweep.scenario_failures");
-    std::string detail = "unknown error";
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& e) {
-      detail = e.what();
-    } catch (...) {
-    }
-    throw std::runtime_error("sweep scenario '" + scenarios[error_index].name +
-                             "' failed: " + detail);
+    throw;
   }
 
   // Serial, totally-ordered ranking: ties cannot depend on schedule.

@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs): config / strict env parsing,
-// the metric registry's deterministic merge, the trace buffer's deterministic
-// drain order, JSON write + parse round-trips, bench report emission, and the
+// the metric registry's deterministic merge, spans (timers, records, trees,
+// exporters), JSON write + parse round-trips, bench report emission, and the
 // disabled-mode contract (true no-op: no allocations on the hot path).
 #include <atomic>
 #include <chrono>
@@ -26,9 +26,7 @@
 #include "obs/config.h"
 #include "obs/json.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "stats/parallel.h"
 #include "stats/yield.h"
 
@@ -61,7 +59,6 @@ class ConfigGuard {
   ConfigGuard() : saved_(current_config()) {}
   ~ConfigGuard() {
     configure(saved_);
-    (void)trace_take();
     (void)spans_drain();
   }
 
@@ -218,7 +215,7 @@ TEST(ObsRegistry, NothingCollectsWhenDisabled) {
   counter_add("t.off", 5);
   timer_record_ns("t.off.timer", 100);
   histogram_record("t.off.hist", 1.0);
-  { ScopedTimer timer("t.off.scoped"); }
+  { Span span("t.off.span"); }
   EXPECT_TRUE(Registry::instance().snapshot().empty());
 }
 
@@ -346,131 +343,20 @@ TEST(ObsDisabled, InstrumentationDoesNotAllocate) {
   counter_add("warmup");
   timer_record_ns("warmup", 1);
   histogram_record("warmup", 1.0);
-  { ScopedTimer timer("warmup"); }
+  { Span span("warmup"); }
 
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     counter_add("hot.counter", 3);
     timer_record_ns("hot.timer", 17);
     histogram_record("hot.hist", 0.125);
-    ScopedTimer timer("hot.scoped");
+    Span span("hot.span");
     if (trace_enabled()) {
       ADD_FAILURE() << "trace must be off here";
     }
   }
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after) << "disabled-mode instrumentation allocated";
-}
-
-// ---------------------------------------------------------------------------
-// Trace buffer
-// ---------------------------------------------------------------------------
-
-TEST(ObsTrace, DisabledEmitIsDropped) {
-  ConfigGuard guard;
-  configure(make_config(false, false));
-  (void)trace_take();
-  trace_emit({TraceKind::kPhase, "ignored", 0, {}});
-  EXPECT_EQ(trace_pending(), 0u);
-  EXPECT_TRUE(trace_take().empty());
-}
-
-TEST(ObsTrace, DrainSortsByKindLabelOrder) {
-  ConfigGuard guard;
-  configure(make_config(false, true));
-  (void)trace_take();
-
-  // Emit deliberately shuffled.
-  trace_emit({TraceKind::kMcBlock, "b", 2, {}});
-  trace_emit({TraceKind::kAttrStep, "z", 0, {{"v", std::int64_t{7}}}});
-  trace_emit({TraceKind::kMcBlock, "a", 1, {}});
-  trace_emit({TraceKind::kMcBlock, "a", 0, {}});
-  trace_emit({TraceKind::kTranslation, "t", 0, {}});
-
-  EXPECT_EQ(trace_pending(), 5u);
-  const auto events = trace_take();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].kind, TraceKind::kAttrStep);
-  EXPECT_EQ(events[0].label, "z");
-  EXPECT_EQ(events[1].kind, TraceKind::kTranslation);
-  EXPECT_EQ(events[2].label, "a");
-  EXPECT_EQ(events[2].order, 0u);
-  EXPECT_EQ(events[3].label, "a");
-  EXPECT_EQ(events[3].order, 1u);
-  EXPECT_EQ(events[4].label, "b");
-  EXPECT_EQ(trace_pending(), 0u);
-}
-
-TEST(ObsTrace, JsonlRendersOneValidObjectPerLine) {
-  std::vector<TraceEvent> events;
-  events.push_back({TraceKind::kAttrStep,
-                    "mixer",
-                    1,
-                    {{"tones", std::int64_t{2}},
-                     {"gain", 6.5},
-                     {"ok", true},
-                     {"origin", std::string("amp \"HD3\"")}}});
-  events.push_back({TraceKind::kMcBlock, "mc", 0, {}});
-  const std::string jsonl = trace_to_jsonl(events);
-
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    const auto nl = jsonl.find('\n', pos);
-    ASSERT_NE(nl, std::string::npos);  // every line newline-terminated
-    lines.push_back(jsonl.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  ASSERT_EQ(lines.size(), 2u);
-
-  std::string err;
-  const auto first = json::parse(lines[0], &err);
-  ASSERT_TRUE(first.has_value()) << err;
-  EXPECT_EQ(first->find("kind")->string, "attr_step");
-  EXPECT_EQ(first->find("label")->string, "mixer");
-  EXPECT_EQ(first->find("order")->number, 1.0);
-  EXPECT_EQ(first->find("tones")->number, 2.0);
-  EXPECT_EQ(first->find("gain")->number, 6.5);
-  EXPECT_TRUE(first->find("ok")->boolean);
-  EXPECT_EQ(first->find("origin")->string, "amp \"HD3\"");
-
-  const auto second = json::parse(lines[1], &err);
-  ASSERT_TRUE(second.has_value()) << err;
-  EXPECT_EQ(second->find("kind")->string, "mc_block");
-}
-
-// Multi-threaded traced MC: exercised under TSan by the sanitizer build, and
-// checks the per-block events cover the trial range exactly once.
-TEST(ObsTrace, TracedParallelMcEmitsOneEventPerBlock) {
-  ConfigGuard guard;
-  configure(make_config(true, true));
-  (void)trace_take();
-
-  const stats::Normal param{0.0, 1.0};
-  const auto spec = stats::SpecLimits::at_least(-1.0);
-  stats::Rng rng(77);
-  const int trials = 50000;
-  (void)stats::evaluate_test_mc(param, spec, spec, stats::ErrorModel::gaussian(0.1),
-                                rng, trials, 4);
-
-  const auto events = trace_take();
-  const std::size_t nblocks = (trials + 8191) / 8192;
-  ASSERT_EQ(events.size(), nblocks);
-  std::int64_t expected_begin = 0;
-  for (std::size_t b = 0; b < events.size(); ++b) {
-    EXPECT_EQ(events[b].kind, TraceKind::kMcBlock);
-    EXPECT_EQ(events[b].order, b);
-    std::int64_t begin = -1, end = -1;
-    for (const auto& [k, v] : events[b].fields) {
-      if (k == "trial_begin") begin = std::get<std::int64_t>(v);
-      if (k == "trial_end") end = std::get<std::int64_t>(v);
-    }
-    EXPECT_EQ(begin, expected_begin);
-    EXPECT_GT(end, begin);
-    expected_begin = end;
-  }
-  EXPECT_EQ(expected_begin, trials);
-  Registry::instance().reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -808,6 +694,60 @@ TEST(ObsSpan, NestsViaThreadLocalCursorAndRestoresIt) {
   // The inner span closed first, so it cannot outlast the outer one.
   EXPECT_LE(spans[1].start_ns + spans[1].dur_ns,
             spans[0].start_ns + spans[0].dur_ns);
+}
+
+// One model: a span records a registry timer under its own name when metrics
+// are on, and a ring record when tracing is on. Metrics alone allocate no
+// id, move no cursor and buffer nothing.
+TEST(ObsSpan, MetricsOnlySpanRecordsTimerWithoutRecord) {
+  ConfigGuard guard;
+  // Every timer whose name ends in the span's name (so a "span."-prefixed
+  // twin would show up here too).
+  const auto span_timers = [] {
+    std::vector<Metric> out;
+    for (const Metric& m : Registry::instance().snapshot()) {
+      if (std::string_view(m.name).ends_with("one.model.span")) out.push_back(m);
+    }
+    return out;
+  };
+
+  configure(make_config(true, false));
+  Registry::instance().reset();
+  (void)spans_drain();
+  {
+    Span s("one.model.span");
+    EXPECT_TRUE(s.armed());
+    EXPECT_EQ(s.id(), 0u);
+    EXPECT_EQ(Span::current(), 0u);
+    s.note("dropped", std::int64_t{1});
+  }
+  std::vector<Metric> timers = span_timers();
+  ASSERT_EQ(timers.size(), 1u);
+  EXPECT_EQ(timers[0].name, "one.model.span");
+  EXPECT_EQ(timers[0].kind, Metric::Kind::kTimer);
+  EXPECT_EQ(timers[0].count, 1u);
+  EXPECT_TRUE(spans_drain().empty());
+
+  configure(make_config(true, true));
+  Registry::instance().reset();
+  SpanId id = 0;
+  {
+    Span s("one.model.span");
+    id = s.id();
+    EXPECT_NE(id, 0u);
+    EXPECT_EQ(Span::current(), id);
+  }
+  timers = span_timers();
+  ASSERT_EQ(timers.size(), 1u);
+  EXPECT_EQ(timers[0].name, "one.model.span");
+  EXPECT_EQ(timers[0].count, 1u);
+  const auto spans = spans_drain();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "one.model.span");
+  EXPECT_EQ(spans[0].id, id);
+  // The timer sample and the record carry the same duration.
+  EXPECT_EQ(timers[0].total_ns, spans[0].dur_ns);
+  Registry::instance().reset();
 }
 
 // The scheduler's span tree under an enclosing request span:

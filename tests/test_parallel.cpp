@@ -10,6 +10,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,7 +18,7 @@
 
 #include "core/coverage.h"
 #include "obs/config.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "stats/yield.h"
 
 namespace msts::stats {
@@ -262,7 +263,7 @@ TEST(EvaluateTestMcParallel, BitIdenticalAcrossThreadCounts) {
 
 // Determinism under instrumentation: enabling trace collection must not
 // perturb a single bit of the MC results at any thread count. Tracing reads
-// clocks and buffers events but never touches RNG streams or the reduction.
+// clocks and buffers spans but never touches RNG streams or the reduction.
 TEST(EvaluateTestMcParallel, BitIdenticalWithTracingEnabled) {
   const Normal param{10.0, 1.0};
   const auto spec = SpecLimits::at_least(8.5);
@@ -275,13 +276,14 @@ TEST(EvaluateTestMcParallel, BitIdenticalWithTracingEnabled) {
   // Baseline: tracing off (MSTS_TRACE unset).
   ::unsetenv("MSTS_TRACE");
   obs::configure(obs::Config::from_env());
-  (void)obs::trace_take();
   Rng base_rng(424242);
   const auto baseline = evaluate_test_mc(param, spec, spec, model, base_rng, trials, 1);
 
   // Same computation with MSTS_TRACE=1.
   ::setenv("MSTS_TRACE", "1", 1);
   obs::configure(obs::Config::from_env());
+  (void)obs::spans_drain();
+  const std::size_t nblocks = (trials + 8191) / 8192;
   for (const int threads : {1, 2, 8}) {
     Rng rng(424242);
     const auto traced = evaluate_test_mc(param, spec, spec, model, rng, trials, threads);
@@ -292,20 +294,33 @@ TEST(EvaluateTestMcParallel, BitIdenticalWithTracingEnabled) {
     EXPECT_EQ(baseline.fault_coverage_loss, traced.fault_coverage_loss)
         << threads << " threads";
 
-    // The traced run did emit one event per MC block, in deterministic order.
-    const auto events = obs::trace_take();
-    const std::size_t nblocks = (trials + 8191) / 8192;
-    ASSERT_EQ(events.size(), nblocks) << threads << " threads";
-    for (std::size_t b = 0; b < events.size(); ++b) {
-      EXPECT_EQ(events[b].kind, obs::TraceKind::kMcBlock);
-      EXPECT_EQ(events[b].label, "stats.evaluate_test_mc");
-      EXPECT_EQ(events[b].order, b);
+    // The scheduler's per-chunk sched.task spans (notes: first, count) tile
+    // the MC blocks exactly once. One thread runs serially, without them.
+    const auto spans = obs::spans_drain();
+    if (threads == 1) continue;
+    std::vector<int> covered(nblocks, 0);
+    for (const obs::SpanRecord& s : spans) {
+      if (std::string_view(s.name) != "sched.task") continue;
+      std::int64_t first = -1, count = 0;
+      for (std::uint8_t i = 0; i < s.note_count; ++i) {
+        if (std::string_view(s.notes[i].key) == "first") first = s.notes[i].i;
+        if (std::string_view(s.notes[i].key) == "count") count = s.notes[i].i;
+      }
+      ASSERT_GE(first, 0) << threads << " threads";
+      ASSERT_GE(count, 1) << threads << " threads";
+      for (std::int64_t b = first; b < first + count; ++b) {
+        ASSERT_LT(b, static_cast<std::int64_t>(nblocks)) << threads << " threads";
+        ++covered[static_cast<std::size_t>(b)];
+      }
+    }
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      EXPECT_EQ(covered[b], 1) << "block " << b << " at " << threads << " threads";
     }
   }
 
   ::unsetenv("MSTS_TRACE");
   obs::configure(saved);
-  (void)obs::trace_take();
+  (void)obs::spans_drain();
 }
 
 TEST(EvaluateTestMcParallel, CallerRngAdvancesIndependentlyOfThreadCount) {

@@ -24,7 +24,6 @@
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "service/cache.h"
 #include "service/request.h"
 #include "stats/rng.h"
@@ -520,7 +519,6 @@ class ObsGuard {
   ObsGuard() : saved_(obs::current_config()) {}
   ~ObsGuard() {
     obs::configure(saved_);
-    (void)obs::trace_take();
     (void)obs::spans_drain();
   }
 
@@ -531,8 +529,10 @@ class ObsGuard {
 TEST(ServiceSpans, RequestSpanTreesReconcileExactlyWithTimers) {
   ObsGuard guard;
   obs::Config config;
+  config.metrics = true;
   config.trace = true;
   obs::configure(config);
+  obs::Registry::instance().reset();
   (void)obs::spans_drain();
 
   constexpr int kRequests = 8;
@@ -618,6 +618,23 @@ TEST(ServiceSpans, RequestSpanTreesReconcileExactlyWithTimers) {
   std::uint64_t root_sum = 0;
   for (const obs::SpanRecord* r : roots) root_sum += r->dur_ns;
   EXPECT_GE(root_sum, served_latency_sum);
+
+  // The stage timers are the same records seen by the registry, so they
+  // reconcile exactly too.
+  std::uint64_t queue_wait_timer = 0;
+  std::uint64_t probe_plus_exec_timer = 0;
+  for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
+    if (m.name == "service.queue_wait") {
+      EXPECT_EQ(m.count, static_cast<std::uint64_t>(kRequests));
+      queue_wait_timer = m.total_ns;
+    } else if (m.name == "service.cache_probe" || m.name == "service.execute") {
+      EXPECT_EQ(m.count, static_cast<std::uint64_t>(kRequests)) << m.name;
+      probe_plus_exec_timer += m.total_ns;
+    }
+  }
+  EXPECT_EQ(queue_wait_timer, served_queue_sum);
+  EXPECT_EQ(probe_plus_exec_timer, served_exec_sum);
+  obs::Registry::instance().reset();
 }
 
 TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
@@ -627,11 +644,11 @@ TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
   config.trace = true;
   obs::configure(config);
   obs::Registry::instance().reset();
-  (void)obs::trace_take();
   (void)obs::spans_drain();
 
   const SynthesisRequest request = make_request(5);
   const std::string expected_key = content_key(request);
+  testing::internal::CaptureStderr();
   {
     EngineOptions options;
     options.workers = 1;
@@ -639,6 +656,7 @@ TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
     SynthesisEngine engine(options);
     (void)engine.submit(request).get();
   }
+  const std::string log = testing::internal::GetCapturedStderr();
 
   std::uint64_t slow_count = 0;
   for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
@@ -646,20 +664,22 @@ TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
   }
   EXPECT_EQ(slow_count, 1u);
 
-  const auto events = obs::trace_take();
-  const obs::TraceEvent* slow = nullptr;
-  for (const obs::TraceEvent& e : events) {
-    if (e.kind == obs::TraceKind::kSlowRequest) slow = &e;
+  // The request's root span carries the verdict.
+  std::int64_t slow_note = -1;
+  for (const obs::SpanRecord& s : obs::spans_drain()) {
+    if (std::string_view(s.name) != "service.request") continue;
+    for (std::uint8_t i = 0; i < s.note_count; ++i) {
+      if (std::string_view(s.notes[i].key) == "slow") slow_note = s.notes[i].i;
+    }
   }
-  ASSERT_NE(slow, nullptr);
-  std::string key_hex;
-  std::int64_t latency_ns = -1;
-  for (const auto& [k, v] : slow->fields) {
-    if (k == "content_key") key_hex = std::get<std::string>(v);
-    if (k == "latency_ns") latency_ns = std::get<std::int64_t>(v);
-  }
-  EXPECT_GT(latency_ns, 0);
-  // The hex key replays to the exact request bytes.
+  EXPECT_EQ(slow_note, 1);
+
+  // The logged hex key replays to the exact request bytes.
+  const std::string marker = "content_key=";
+  const std::size_t at = log.find(marker);
+  ASSERT_NE(at, std::string::npos) << log;
+  const std::size_t begin = at + marker.size();
+  const std::string key_hex = log.substr(begin, log.find('\n', begin) - begin);
   ASSERT_EQ(key_hex.size(), expected_key.size() * 2);
   std::string decoded;
   for (std::size_t i = 0; i < key_hex.size(); i += 2) {
