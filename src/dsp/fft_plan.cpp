@@ -1,11 +1,10 @@
 #include "dsp/fft_plan.h"
 
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <unordered_map>
+#include <functional>
 #include <utility>
 
+#include "base/memo.h"
 #include "base/require.h"
 #include "base/simd.h"
 #include "base/units.h"
@@ -121,17 +120,22 @@ void RfftPlan::forward(const double* x, std::complex<double>* out) const {
 
 namespace {
 
-// Never destroyed: plans may be looked up from threads that outlive static
-// destruction order (same rationale as obs::Registry).
-struct PlanCaches {
-  std::mutex mu;
-  std::unordered_map<std::size_t, std::shared_ptr<const FftPlan>> fft;
-  std::unordered_map<std::size_t, std::shared_ptr<const RfftPlan>> rfft;
-  std::map<std::pair<std::size_t, int>, std::shared_ptr<const WindowPlan>> window;
+struct WindowKeyHash {
+  std::size_t operator()(const std::pair<std::size_t, int>& key) const {
+    return std::hash<std::size_t>{}(key.first * 31 + static_cast<std::size_t>(key.second));
+  }
 };
 
-PlanCaches& caches() {
-  static PlanCaches* c = [] {
+// Never destroyed: plans may be looked up from threads that outlive static
+// destruction order (same rationale as obs::Registry).
+struct PlanMemos {
+  Memo<std::size_t, FftPlan> fft;
+  Memo<std::size_t, RfftPlan> rfft;
+  Memo<std::pair<std::size_t, int>, WindowPlan, WindowKeyHash> window;
+};
+
+PlanMemos& caches() {
+  static PlanMemos* c = [] {
     // One-time registry stamp of the SIMD backend every dsp kernel call will
     // dispatch to: dsp.simd.isa.<name> = 1 plus the lane widths, so metric
     // snapshots (MSTS_METRICS) identify the backend a run used.
@@ -140,79 +144,29 @@ PlanCaches& caches() {
     obs::counter_add("dsp.simd.f64_width", k.f64_width);
     obs::counter_add("dsp.simd.fault_words", k.fault_words);
     obs::counter_add("dsp.simd.cosine_lanes", k.cosine_lanes);
-    return new PlanCaches;
+    return new PlanMemos;
   }();
   return *c;
 }
 
-}  // namespace
-
-std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n) {
-  MSTS_REQUIRE(is_power_of_two(n), "FFT size must be a power of two");
-  obs::Span span("dsp.plan_cache.fft");
-  span.note("n", static_cast<std::int64_t>(n));
-  PlanCaches& c = caches();
-  std::lock_guard<std::mutex> lk(c.mu);
-  auto it = c.fft.find(n);
-  if (it != c.fft.end()) {
-    obs::counter_add("dsp.plan_cache.fft.hit");
+// The memoized plan for `key`, counted as `<counter>.hit` or `.miss` and
+// noted on the caller's span. A miss builds outside the memo's lock (see
+// base/memo.h); concurrent misses on one size adopt the first plan built.
+template <class Plan, class Key, class Hash, class Build>
+std::shared_ptr<const Plan> memoized(Memo<Key, Plan, Hash>& memo, const Key& key,
+                                     const char* hit_counter, const char* miss_counter,
+                                     obs::Span& span, Build build) {
+  if (auto plan = memo.lookup(key)) {
+    obs::counter_add(hit_counter);
     span.note("hit", std::int64_t{1});
-    return it->second;
+    return plan;
   }
-  obs::counter_add("dsp.plan_cache.fft.miss");
+  obs::counter_add(miss_counter);
   span.note("hit", std::int64_t{0});
-  auto plan = std::make_shared<const FftPlan>(n);
-  c.fft.emplace(n, plan);
-  return plan;
+  return memo.insert(key, build());
 }
 
-std::shared_ptr<const RfftPlan> get_rfft_plan(std::size_t n) {
-  MSTS_REQUIRE(is_power_of_two(n), "FFT size must be a power of two");
-  obs::Span span("dsp.plan_cache.rfft");
-  span.note("n", static_cast<std::int64_t>(n));
-  PlanCaches& c = caches();
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    auto it = c.rfft.find(n);
-    if (it != c.rfft.end()) {
-      obs::counter_add("dsp.plan_cache.rfft.hit");
-      span.note("hit", std::int64_t{1});
-      return it->second;
-    }
-    obs::counter_add("dsp.plan_cache.rfft.miss");
-    span.note("hit", std::int64_t{0});
-  }
-  // Built outside the lock: the constructor re-enters the cache through
-  // get_fft_plan for its half-size plan, and the mutex is not recursive.
-  // Two threads may race to build the same size; the first insertion wins
-  // and the losers adopt it (the plans are identical).
-  auto plan = std::make_shared<const RfftPlan>(n);
-  std::lock_guard<std::mutex> lk(c.mu);
-  auto again = c.rfft.find(n);
-  if (again != c.rfft.end()) return again->second;
-  c.rfft.emplace(n, plan);
-  return plan;
-}
-
-std::shared_ptr<const WindowPlan> get_window_plan(std::size_t n, WindowType type) {
-  MSTS_REQUIRE(n >= 1, "window length must be >= 1");
-  obs::Span span("dsp.plan_cache.window");
-  span.note("n", static_cast<std::int64_t>(n));
-  const auto key = std::make_pair(n, static_cast<int>(type));
-  PlanCaches& c = caches();
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    auto it = c.window.find(key);
-    if (it != c.window.end()) {
-      obs::counter_add("dsp.plan_cache.window.hit");
-      span.note("hit", std::int64_t{1});
-      return it->second;
-    }
-    obs::counter_add("dsp.plan_cache.window.miss");
-    span.note("hit", std::int64_t{0});
-  }
-  // Window synthesis is trig-heavy; build outside the lock so concurrent
-  // lookups of other sizes are not serialised behind it.
+std::shared_ptr<const WindowPlan> build_window_plan(std::size_t n, WindowType type) {
   auto plan = std::make_shared<WindowPlan>();
   plan->samples = make_window(n, type);
   double s1 = 0.0;
@@ -223,13 +177,34 @@ std::shared_ptr<const WindowPlan> get_window_plan(std::size_t n, WindowType type
   }
   plan->coherent_gain = s1 / static_cast<double>(n);
   plan->enbw_bins = static_cast<double>(n) * s2 / (s1 * s1);
+  return plan;
+}
 
-  std::lock_guard<std::mutex> lk(c.mu);
-  auto again = c.window.find(key);
-  if (again != c.window.end()) return again->second;
-  std::shared_ptr<const WindowPlan> ready = std::move(plan);
-  c.window.emplace(key, ready);
-  return ready;
+}  // namespace
+
+std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n) {
+  MSTS_REQUIRE(is_power_of_two(n), "FFT size must be a power of two");
+  obs::Span span("dsp.plan_cache.fft");
+  span.note("n", static_cast<std::int64_t>(n));
+  return memoized(caches().fft, n, "dsp.plan_cache.fft.hit", "dsp.plan_cache.fft.miss",
+                  span, [n] { return std::make_shared<const FftPlan>(n); });
+}
+
+std::shared_ptr<const RfftPlan> get_rfft_plan(std::size_t n) {
+  MSTS_REQUIRE(is_power_of_two(n), "FFT size must be a power of two");
+  obs::Span span("dsp.plan_cache.rfft");
+  span.note("n", static_cast<std::int64_t>(n));
+  return memoized(caches().rfft, n, "dsp.plan_cache.rfft.hit", "dsp.plan_cache.rfft.miss",
+                  span, [n] { return std::make_shared<const RfftPlan>(n); });
+}
+
+std::shared_ptr<const WindowPlan> get_window_plan(std::size_t n, WindowType type) {
+  MSTS_REQUIRE(n >= 1, "window length must be >= 1");
+  obs::Span span("dsp.plan_cache.window");
+  span.note("n", static_cast<std::int64_t>(n));
+  return memoized(caches().window, std::make_pair(n, static_cast<int>(type)),
+                  "dsp.plan_cache.window.hit", "dsp.plan_cache.window.miss", span,
+                  [n, type] { return build_window_plan(n, type); });
 }
 
 }  // namespace msts::dsp

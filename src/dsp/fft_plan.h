@@ -6,8 +6,8 @@
 // permutation, window samples and their calibration sums — is computed once
 // per size and shared. Plans are immutable after construction and handed out
 // as shared_ptr<const ...>, so any number of threads may execute the same plan
-// concurrently; the cache itself is guarded by a mutex (see DESIGN.md,
-// "Planned kernels").
+// concurrently; the cache is one first-wins memo per plan kind (base/memo.h,
+// DESIGN.md "Planned kernels").
 //
 // Accuracy note: each twiddle is evaluated with exact library trig at its own
 // angle, unlike the incremental w *= wlen recurrence the unplanned FFT used,

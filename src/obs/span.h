@@ -27,7 +27,7 @@
 //
 // Parenting: each thread keeps a current-span cursor; a Span constructed
 // without an explicit parent nests under the thread's innermost open span.
-// Work handed to another thread (thread-pool tasks, parallel_for_index
+// Work handed to another thread (service requests, parallel_for_index
 // blocks) captures Span::current() *before* dispatch and passes it as the
 // explicit parent, which stitches the tree across threads. Manual emission
 // (span_record_between + span_emit) covers stages whose endpoints are

@@ -10,7 +10,7 @@
 // Requests are value types with a *canonical content key*: a byte-exact
 // serialization of every field (doubles by bit pattern), so two requests
 // with the same key are guaranteed to synthesize bit-identical results —
-// the invariant the result cache (service/cache.h) rests on. content_hash
+// the invariant the engine's result cache (service/engine.h) rests on. content_hash
 // is a 64-bit FNV-1a digest of that key for cheap bucketing / logging; the
 // cache itself keys on the full byte string, so hash collisions can never
 // alias two different requests.
@@ -35,7 +35,8 @@ struct RequestOptions {
   double spec_sigmas = 2.0;
   /// Record settings for the derived measurement setup.
   path::MeasureOptions measure;
-  /// Per-request cache opt-out (engine-level caching must also be on).
+  /// Per-request cache opt-out: false synthesizes without consulting or
+  /// filling the engine's result cache.
   bool use_cache = true;
 };
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <thread>
 
-#include "base/require.h"
-#include "base/spin.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -24,73 +23,6 @@ int max_threads() {
 }
 
 int resolve_threads(int requested) { return requested > 0 ? requested : max_threads(); }
-
-ThreadPool::ThreadPool(int workers) {
-  MSTS_REQUIRE(workers >= 1, "thread pool needs at least one worker");
-  threads_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-    lock_spinning(lock);
-    queue_.push_back(std::move(task));
-    queued_.store(queue_.size());
-  }
-  cv_work_.notify_one();  // a no-op unless a worker is parked
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (queue_.empty() && !stop_) {
-      // Poll the unlocked size hint first; park only once kIdleSpin has
-      // passed. queue_ itself is only ever touched under the lock.
-      lock.unlock();
-      const auto park_at = std::chrono::steady_clock::now() + kIdleSpin;
-      for (;;) {
-        if (queued_.load() != 0 && lock.try_lock()) {
-          if (!queue_.empty()) break;
-          lock.unlock();  // another worker took it
-        }
-        if (std::chrono::steady_clock::now() >= park_at) {
-          lock.lock();
-          break;
-        }
-        std::this_thread::yield();
-      }
-      cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    }
-    if (stop_ && queue_.empty()) return;
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    queued_.store(queue_.size());
-    ++in_flight_;
-    lock.unlock();
-    task();
-    task = nullptr;  // the task's captures die outside the lock
-    lock_spinning(lock);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-  }
-}
 
 void parallel_for_index(std::size_t n, int threads,
                         const std::function<void(std::size_t)>& fn) {

@@ -17,21 +17,16 @@
 // touches no threading machinery at all (the serial fallback).
 //
 // Execution substrate: parallel regions run on the process-wide
-// work-stealing Scheduler (stats/scheduler.h) — per-worker deques,
-// randomized stealing, nested submission with help-first joins. Calls made
-// from inside a scheduler task become child task-sets on the same workers
-// (no oversubscription, deadlock-free at any width); independent top-level
-// callers share the workers through the same deques.
+// work-stealing Scheduler (stats/scheduler.h), the toolkit's one generic
+// pool of compute threads — per-worker deques, randomized stealing, nested
+// submission with help-first joins. Calls made from inside a scheduler task
+// become child task-sets on the same workers (no oversubscription,
+// deadlock-free at any width); independent top-level callers share the
+// workers through the same deques.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "stats/rng.h"
@@ -47,47 +42,6 @@ int max_threads();
 /// Resolves a caller-supplied thread request: `requested` > 0 is honoured as
 /// given; 0 (the library-wide default) resolves to max_threads().
 int resolve_threads(int requested);
-
-/// Small fixed-size thread-pool executor. A worker that runs out of tasks
-/// polls for new ones for up to kIdleSpin, yielding the CPU between polls,
-/// then parks on a condition variable; submitted tasks run in FIFO order on
-/// whichever worker frees up first. Used through parallel_for_index() below;
-/// exposed for callers that need raw task submission.
-class ThreadPool {
- public:
-  /// Spawns `workers` worker threads (>= 1).
-  explicit ThreadPool(int workers);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int workers() const { return static_cast<int>(threads_.size()); }
-
-  /// Enqueues a task for execution on a worker thread.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and every submitted task has finished.
-  void wait_idle();
-
-  /// How long an idle worker polls before it parks. A closed-loop caller
-  /// (the synthesis service) submits its next request a few microseconds
-  /// after the last one completes; polling catches it without a futex wake
-  /// and without letting the worker's CPU halt (see base/spin.h).
-  static constexpr std::chrono::microseconds kIdleSpin{50};
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> threads_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-  std::atomic<std::size_t> queued_{0};  ///< queue_.size(), a hint read unlocked
-};
 
 /// Runs fn(i) for every i in [0, n) using up to `threads` threads (resolved
 /// via resolve_threads) on the shared work-stealing scheduler. fn must

@@ -74,22 +74,22 @@ Scheduler::Scheduler(int workers) : workers_count_(workers) {
   MSTS_REQUIRE(workers >= 1, "scheduler needs at least one worker");
   deques_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) deques_.push_back(std::make_unique<Worker>());
-  pool_ = std::make_unique<ThreadPool>(workers);
+  threads_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    pool_->submit([this, i] { worker_loop(i); });
+    threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 Scheduler::~Scheduler() {
   // No run() can be in flight here: callers hold a handle (or the owner's
   // reference) across run(), so destruction implies quiescence. Release the
-  // workers from the idle wait and let the pool join them.
+  // workers from the idle wait and join them.
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     stop_ = true;
   }
   idle_cv_.notify_all();
-  pool_.reset();
+  for (std::thread& t : threads_) t.join();
 }
 
 Scheduler* Scheduler::current() { return t_sched; }

@@ -1,10 +1,10 @@
 // Deterministic work-stealing task scheduler.
 //
 // The layer between the uniform fork-join loop (stats::parallel_for_index)
-// and heterogeneous task graphs: a Scheduler owns W worker threads (hosted
-// on the existing stats::ThreadPool), each with its own double-ended task
-// queue. A run() call splits its index range into contiguous chunks and
-// places them on the deques; workers pop their own deque from the bottom
+// and heterogeneous task graphs: a Scheduler starts and joins W worker
+// threads of its own, each with its own double-ended task queue. A run()
+// call splits its index range into contiguous chunks and places them on
+// the deques; workers pop their own deque from the bottom
 // (newest-first, Chase-Lev discipline: the owner works LIFO for locality)
 // while idle workers — and the blocked caller — steal from the top of a
 // randomly-ordered sequence of victim deques (oldest-first, so a steal takes
@@ -18,7 +18,7 @@
 // output slots, make_streams-derived per-block generators) and reduces
 // serially in index order afterwards, so results are bit-identical to the
 // serial run at any worker count and under any steal schedule — the same
-// contract the parallel MC engine has proven since the thread-pool days.
+// contract the parallel MC engine has always kept.
 // The scheduler strengthens exception propagation to be deterministic too:
 // run() rethrows the exception of the *lowest* failing index, regardless of
 // which worker observed a failure first.
@@ -54,6 +54,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "stats/parallel.h"
@@ -62,8 +63,9 @@ namespace msts::stats {
 
 class Scheduler {
  public:
-  /// Spawns `workers` worker threads (>= 1) on a private ThreadPool.
+  /// Spawns `workers` worker threads (>= 1).
   explicit Scheduler(int workers);
+  /// Stops the workers and joins them; no run() may be in flight.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -89,10 +91,10 @@ class Scheduler {
   /// spawning a second scheduler.
   static Scheduler* current();
 
-  /// Process-wide shared instance as a refcounted handle, mirroring the old
-  /// shared ThreadPool: a request for more workers swaps in a bigger
-  /// scheduler (counted by sched.rebuilds) while in-flight runs keep the old
-  /// one alive until their top-level callers release it.
+  /// Process-wide shared instance as a refcounted handle: a request for
+  /// more workers swaps in a bigger scheduler (counted by sched.rebuilds)
+  /// while in-flight runs keep the old one alive until their top-level
+  /// callers release it.
   static std::shared_ptr<Scheduler> shared(int min_workers);
 
  private:
@@ -122,7 +124,7 @@ class Scheduler {
   std::condition_variable idle_cv_;
   long pending_ = 0;                   // chunks currently sitting in deques
   bool stop_ = false;
-  std::unique_ptr<ThreadPool> pool_;   // hosts the worker loops; dies first
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace msts::stats

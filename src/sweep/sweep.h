@@ -10,10 +10,10 @@
 // cross-checked by the deterministic Monte-Carlo evaluator), then ranks the
 // scenarios.
 //
-// Determinism contract: scenarios are scored in parallel over the shared
-// thread pool, one long_jump-derived RNG stream per scenario (block
-// boundaries depend only on the scenario list, never on the thread count),
-// and the ranking is produced by a serial sort with a total ordering — so
+// Determinism contract: scenarios are scored in parallel on the shared
+// work-stealing scheduler, one long_jump-derived RNG stream per scenario
+// (block boundaries depend only on the scenario list, never on the thread
+// count), and the ranking is produced by a serial sort with a total ordering — so
 // the ranking, every score, and the result fingerprint are bit-identical
 // at 1, 2 or 8 threads. The fingerprint digests the ranked names and the
 // bit patterns of every score, which is what the tests and bench verify.

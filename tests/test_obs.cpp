@@ -12,7 +12,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +21,10 @@
 
 #include <gtest/gtest.h>
 
+// Counts allocations for the no-allocation tests. Counting is process-wide,
+// so those tests single-thread themselves and tolerate nothing: any
+// allocation between the markers fails them.
+#include "counting_new.h"
 #include "obs/bench_report.h"
 #include "obs/config.h"
 #include "obs/json.h"
@@ -29,26 +32,6 @@
 #include "obs/span.h"
 #include "stats/parallel.h"
 #include "stats/yield.h"
-
-// Global operator new instrumentation for the no-allocation test. Counting
-// is process-wide, so the test below single-threads itself and tolerates
-// nothing: any allocation between the markers fails it.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace msts::obs {
 namespace {
@@ -345,7 +328,7 @@ TEST(ObsDisabled, InstrumentationDoesNotAllocate) {
   histogram_record("warmup", 1.0);
   { Span span("warmup"); }
 
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = msts_test::g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     counter_add("hot.counter", 3);
     timer_record_ns("hot.timer", 17);
@@ -355,7 +338,7 @@ TEST(ObsDisabled, InstrumentationDoesNotAllocate) {
       ADD_FAILURE() << "trace must be off here";
     }
   }
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t after = msts_test::g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after) << "disabled-mode instrumentation allocated";
 }
 
@@ -642,7 +625,7 @@ TEST(ObsSpanDisabled, SpansAreFreeWhenTracingOff) {
   // Warm up thread-local state outside the measured window.
   { Span warm("warmup"); }
 
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = msts_test::g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     Span s("hot.span");
     s.note("k", std::int64_t{1});
@@ -652,7 +635,7 @@ TEST(ObsSpanDisabled, SpansAreFreeWhenTracingOff) {
       ADD_FAILURE() << "span must be disarmed while tracing is off";
     }
   }
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t after = msts_test::g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after) << "disabled-mode spans allocated";
   EXPECT_TRUE(spans_drain().empty());
 }

@@ -81,36 +81,6 @@ TEST(Threads, MalformedEnvOverrideThrows) {
   }
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-// Gaps shorter than kIdleSpin reach a polling worker, longer ones a parked
-// worker that has to be woken; every task runs either way.
-TEST(ThreadPool, RunsTasksSubmittedToPollingAndParkedWorkers) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  const std::chrono::microseconds gaps[] = {
-      std::chrono::microseconds{0}, ThreadPool::kIdleSpin / 5, ThreadPool::kIdleSpin * 20};
-  int submitted = 0;
-  for (int round = 0; round < 10; ++round) {
-    for (const auto gap : gaps) {
-      pool.submit([&count] { count.fetch_add(1); });
-      ++submitted;
-      std::this_thread::sleep_for(gap);
-    }
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), submitted);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 4, 8}) {
     const std::size_t n = 257;  // deliberately not a multiple of anything

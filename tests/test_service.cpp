@@ -1,6 +1,6 @@
 // Tests for the synthesis service (src/service): canonical content keys,
-// the plan/result cache, the bounded-admission engine, and — the core
-// contract — that a served result is bit-identical to a direct
+// the result memo, the bounded-admission engine, and — the core contract —
+// that a served result is bit-identical to a direct
 // TestSynthesizer::synthesize() call, cache on or off, under any amount of
 // submitter concurrency. The Service* suites also run under the TSan tier-1
 // leg (see ROADMAP.md).
@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <future>
 #include <limits>
@@ -21,10 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include "base/memo.h"
+// Counts allocations for ServiceEngine.ServedHitAllocationsArePinned.
+#include "counting_new.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "service/cache.h"
 #include "service/request.h"
 #include "stats/rng.h"
 
@@ -267,11 +271,11 @@ TEST(ServiceRequest, ResultFingerprintsArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanCache
+// The result memo (base/memo.h), instantiated as the engine holds it
 // ---------------------------------------------------------------------------
 
 TEST(ServiceCache, InsertLookupAndFirstWins) {
-  PlanCache cache;
+  Memo<std::string, SynthesisResult> cache;
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.lookup("k"), nullptr);
 
@@ -283,10 +287,7 @@ TEST(ServiceCache, InsertLookupAndFirstWins) {
   EXPECT_EQ(cache.insert("k", second), first);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.lookup("k"), first);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup("k"), nullptr);
+  EXPECT_EQ(cache.lookup("other"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,10 +313,9 @@ TEST(ServiceEngine, ServedBitIdenticalToDirectWithCache) {
 }
 
 TEST(ServiceEngine, ServedBitIdenticalToDirectWithoutCache) {
-  EngineOptions options;
-  options.cache = false;
-  SynthesisEngine engine(options);
-  const SynthesisRequest request = make_request();
+  SynthesisEngine engine;
+  SynthesisRequest request = make_request();
+  request.options.use_cache = false;
   const std::string direct = result_content(synthesize_direct(request));
 
   const Served a = engine.submit(request).get();
@@ -508,6 +508,87 @@ TEST(ServiceEngine, ConcurrentSubmittersServeBitIdenticalResults) {
   EXPECT_EQ(engine.in_flight(), 0u);
 }
 
+// Gaps shorter than kIdleSpin reach a polling worker, longer ones a parked
+// worker that has to be woken; every request is served either way.
+TEST(ServiceEngine, RunsRequestsSubmittedToPollingAndParkedWorkers) {
+  EngineOptions options;
+  options.workers = 2;
+  SynthesisEngine engine(options);
+  const SynthesisRequest request = make_request(7);
+  const std::string direct = result_content(synthesize_direct(request));
+  const std::chrono::microseconds gaps[] = {std::chrono::microseconds{0},
+                                            SynthesisEngine::kIdleSpin / 5,
+                                            SynthesisEngine::kIdleSpin * 20};
+  std::vector<std::future<Served>> futures;
+  for (int round = 0; round < 10; ++round) {
+    for (const auto gap : gaps) {
+      futures.push_back(engine.submit(request));
+      std::this_thread::sleep_for(gap);
+    }
+  }
+  for (std::future<Served>& f : futures) {
+    const Served served = f.get();
+    ASSERT_NE(served.result, nullptr);
+    EXPECT_EQ(result_content(*served.result), direct);
+  }
+  EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+// The destructor lets the workers drain the queue before it joins them:
+// destroying an engine right after a burst it cannot have finished still
+// fulfills every admitted request, with a result and not a broken promise.
+TEST(ServiceEngine, DestructorServesEveryAdmittedRequest) {
+  constexpr int kRequests = 32;
+  std::vector<std::string> expected;
+  std::vector<std::future<Served>> futures;
+  {
+    EngineOptions options;
+    options.workers = 1;
+    options.queue_capacity = kRequests;
+    SynthesisEngine engine(options);
+    for (int i = 0; i < kRequests; ++i) {
+      SynthesisRequest request = make_request(i);
+      request.options.use_cache = false;  // every request a cold synthesis
+      expected.push_back(result_content(synthesize_direct(request)));
+      futures.push_back(engine.submit(std::move(request)));
+    }
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds{0}), std::future_status::ready);
+    try {
+      const Served served = futures[i].get();
+      ASSERT_NE(served.result, nullptr);
+      EXPECT_EQ(result_content(*served.result), expected[i]);
+    } catch (const std::future_error& e) {
+      ADD_FAILURE() << "future holds " << e.what();
+    }
+  }
+}
+
+// Heap allocations of served cache hits, submit to get, with obs off. Four
+// per hit: the queued job, the promise's shared state and its result slot,
+// and the content key; plus one block of the job queue per 64 requests.
+// Counted over 64 sequential hits on a warmed 1-worker engine, so the total
+// is exact.
+TEST(ServiceEngine, ServedHitAllocationsArePinned) {
+  const obs::Config saved = obs::current_config();
+  obs::configure(obs::Config{});
+  EngineOptions options;
+  options.workers = 1;
+  SynthesisEngine engine(options);
+  const SynthesisRequest request = make_request(3);
+  for (int i = 0; i < 8; ++i) (void)engine.submit(request).get();
+
+  const std::uint64_t before = msts_test::g_alloc_count.load();
+  int hits = 0;
+  for (int i = 0; i < 64; ++i) hits += engine.submit(request).get().cache_hit ? 1 : 0;
+  const std::uint64_t allocations = msts_test::g_alloc_count.load() - before;
+  obs::configure(saved);
+  EXPECT_EQ(hits, 64);
+  EXPECT_EQ(allocations, 257u);
+}
+
 // ---------------------------------------------------------------------------
 // Request span trees and slow-request reporting. The Service* suites run
 // under the TSan tier-1 leg, so the span path is raced there too.
@@ -652,8 +733,11 @@ TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
   {
     EngineOptions options;
     options.workers = 1;
-    options.slow_request_threshold_s = 0.0;  // everything with latency > 0
+    // Everything with latency > 0 is slow. The engine reads the threshold
+    // once, when it is constructed.
+    EXPECT_EQ(::setenv("MSTS_SLOW_REQUEST_S", "0", 1), 0);
     SynthesisEngine engine(options);
+    EXPECT_EQ(::unsetenv("MSTS_SLOW_REQUEST_S"), 0);
     (void)engine.submit(request).get();
   }
   const std::string log = testing::internal::GetCapturedStderr();
