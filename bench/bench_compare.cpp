@@ -13,6 +13,8 @@
 //     do not fail, since benches legitimately grow new outputs.
 //   * "simd."-prefixed scalars are run metadata (lane widths), not
 //     performance; they are never gated.
+//   * a null candidate scalar (the writer's encoding of NaN/Inf) always
+//     fails: the bench computed a non-finite headline number.
 // With --baseline-dir DIR the baseline is resolved from the candidate's
 // reported SIMD backend: DIR/BENCH_<bench>.<isa>.json if present, else the
 // unsuffixed DIR/BENCH_<bench>.json with a note. This keeps the Release
@@ -131,11 +133,24 @@ int main(int argc, char** argv) {
   int regressions = 0;
   int compared = 0;
 
+  for (const auto& [key, v] : cand->scalars) {
+    if (!std::isfinite(v)) {
+      std::printf("  REGRESSION scalar '%s' is null (non-finite) in candidate\n",
+                  key.c_str());
+      ++regressions;
+    }
+  }
   for (const auto& [key, old_v] : base->scalars) {
     if (is_informational(key)) continue;
     const double* new_v = find(cand->scalars, key);
     if (new_v == nullptr) {
       std::printf("  note: scalar '%s' missing from candidate\n", key.c_str());
+      continue;
+    }
+    if (!std::isfinite(*new_v)) continue;  // already failed above
+    if (!std::isfinite(old_v)) {
+      std::printf("  note: scalar '%s' is null in the baseline; not compared\n",
+                  key.c_str());
       continue;
     }
     ++compared;
@@ -151,7 +166,7 @@ int main(int argc, char** argv) {
     }
   }
   for (const auto& [key, v] : cand->scalars) {
-    if (is_informational(key)) continue;
+    if (is_informational(key) || !std::isfinite(v)) continue;
     if (find(base->scalars, key) == nullptr) {
       std::printf("  note: new scalar '%s' = %.6g (no baseline)\n", key.c_str(), v);
     }

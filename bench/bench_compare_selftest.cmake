@@ -2,8 +2,9 @@
 # schema-v1 reports. Invoked by the bench_compare_selftest CTest as
 #   cmake -DCOMPARER=... -DOUT_DIR=... -P bench_compare_selftest.cmake
 # Cases: identity must pass (0), a known regression pair must fail (1),
-# mismatched bench names must be a usage error (2), and the directional
-# scalar gate must pass perf improvements while failing perf regressions.
+# mismatched bench names must be a usage error (2), the directional scalar
+# gate must pass perf improvements while failing perf regressions, and a
+# null (non-finite) candidate scalar must fail (1).
 foreach(var COMPARER OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_compare_selftest.cmake: missing -D${var}=...")
@@ -143,6 +144,26 @@ if(NOT removed_rc EQUAL 0)
 endif()
 if(NOT removed_out MATCHES "scalar 'p99_latency_s' missing from candidate")
   message(FATAL_ERROR "removed scalar should be noted, got output: ${removed_out}")
+endif()
+
+# A null candidate scalar is how the writer encodes NaN/Inf: the bench
+# computed a non-finite headline number, so the compare must fail and name
+# the key, not report it as missing.
+set(perf_null "${OUT_DIR}/perf_null.json")
+file(WRITE "${perf_null}" [=[
+{"bench": "perf", "schema_version": 1, "threads": 2, "scale": 1.0,
+ "phases": [], "total_wall_s": 1.0,
+ "scalars": {"latency_p99_ns": 1000.0, "queue_wait_p99_ns": 400.0,
+             "plans_per_sec": null, "coverage": 0.95}}
+]=])
+
+execute_process(COMMAND "${COMPARER}" "${perf_base}" "${perf_null}"
+                RESULT_VARIABLE null_rc OUTPUT_VARIABLE null_out)
+if(NOT null_rc EQUAL 1)
+  message(FATAL_ERROR "null candidate scalar should exit 1, got status ${null_rc}")
+endif()
+if(NOT null_out MATCHES "scalar 'plans_per_sec' is null")
+  message(FATAL_ERROR "null candidate scalar should be named, got output: ${null_out}")
 endif()
 
 message(STATUS "bench_compare selftest OK")

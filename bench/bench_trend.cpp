@@ -5,7 +5,8 @@
 // scalar, flagging every consecutive step that regresses under the shared
 // direction rules (bench/report_io.h — latency-like keys flag on increase,
 // throughput-like on decrease, deterministic outputs on drift either way).
-// total_wall_s rides along as a higher-is-worse pseudo-scalar.
+// total_wall_s rides along as a higher-is-worse pseudo-scalar. A null
+// scalar (the writer's encoding of NaN/Inf) flags the snapshot it is in.
 //
 // Usage:
 //   bench_trend [--threshold R] SNAPSHOT_DIR
@@ -163,6 +164,15 @@ int main(int argc, char** argv) {
       char cell[64];
       if (v == nullptr) {
         std::snprintf(cell, sizeof cell, "%s—", i == 0 ? "" : " ");
+      } else if (!std::isfinite(*v)) {
+        // A null scalar (non-finite in the bench) flags on its own and
+        // leaves the series to compare around it.
+        std::snprintf(cell, sizeof cell, "%snull", i == 0 ? "" : " ");
+        char flag[48];
+        std::snprintf(flag, sizeof flag, "  NULL #%zu", i + 1);
+        flags += flag;
+        ++flagged;
+        any = true;
       } else {
         std::snprintf(cell, sizeof cell, "%s%.6g", i == 0 ? "" : " ", *v);
         any = true;

@@ -1,9 +1,10 @@
 // Schema validator for the BENCH_*.json files emitted by obs::BenchReport.
 // The bench_smoke CTest label runs every bench at reduced scale and then
 // this tool over the emitted file; a malformed or incomplete report fails
-// the test. Reports of traced runs must carry their span sections whole:
-// `spans` comes with `spans_dropped` and a `span_stages` array whose entries
-// each have a name and numeric count / total / min / max / p50 / p99.
+// the test. Every `metrics` entry (MSTS_METRICS runs) needs a name, a kind
+// and a numeric count; a timer entry, the per-stage latency aggregate, also
+// needs non-negative numeric total / min / max / p50 / p99 nanoseconds. A
+// traced report's `spans` comes with `spans_dropped`.
 // Usage: bench_validate BENCH_<name>.json...
 //
 // --trace switches to validating Chrome/Perfetto trace-event files (the
@@ -16,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <iterator>
 #include <utility>
 
 #include "obs/json.h"
@@ -99,8 +101,37 @@ bool validate(const char* path) {
     }
   }
 
-  // Traced reports carry the span sections together (obs/bench_report.h).
-  std::size_t stages_checked = 0;
+  std::size_t metric_count = 0;
+  if (const Value* metrics = doc->find("metrics"); metrics != nullptr) {
+    if (!metrics->is_array()) return fail(path, "'metrics' is not an array");
+    for (const Value& m : metrics->array) {
+      if (!m.is_object()) return fail(path, "metrics entry is not an object");
+      const Value* name = m.find("name");
+      if (name == nullptr || !name->is_string() || name->string.empty()) {
+        return fail(path, "metrics entry missing 'name'");
+      }
+      const Value* kind = m.find("kind");
+      if (kind == nullptr || !kind->is_string() ||
+          (kind->string != "counter" && kind->string != "timer" &&
+           kind->string != "histogram")) {
+        return fail(path, "metric '" + name->string + "': missing or invalid 'kind'");
+      }
+      // Every kind has a count; a timer also has its *_ns fields.
+      static constexpr const char* kFields[] = {"count",  "total_ns", "min_ns",
+                                                "max_ns", "p50_ns",   "p99_ns"};
+      const std::size_t nfields = kind->string == "timer" ? std::size(kFields) : 1;
+      for (std::size_t f = 0; f < nfields; ++f) {
+        const char* field = kFields[f];
+        const Value* v = m.find(field);
+        if (!is_number(v) || v->number < 0.0) {
+          return fail(path, "metric '" + name->string + "': '" + field + "' is " +
+                                number_problem(v));
+        }
+      }
+    }
+    metric_count = metrics->array.size();
+  }
+
   if (const Value* spans = doc->find("spans"); spans != nullptr) {
     if (!is_number(spans) || spans->number < 0.0) {
       return fail(path, "'spans' is " + number_problem(spans));
@@ -109,30 +140,10 @@ bool validate(const char* path) {
     if (!is_number(dropped) || dropped->number < 0.0) {
       return fail(path, "'spans_dropped' is " + number_problem(dropped));
     }
-    const Value* stages = doc->find("span_stages");
-    if (stages == nullptr || !stages->is_array()) {
-      return fail(path, "'spans' without a 'span_stages' array");
-    }
-    for (const Value& st : stages->array) {
-      if (!st.is_object()) return fail(path, "span_stages entry is not an object");
-      const Value* name = st.find("name");
-      if (name == nullptr || !name->is_string() || name->string.empty()) {
-        return fail(path, "span_stages entry missing 'name'");
-      }
-      for (const char* field :
-           {"count", "total_ns", "min_ns", "max_ns", "p50_ns", "p99_ns"}) {
-        const Value* v = st.find(field);
-        if (!is_number(v) || v->number < 0.0) {
-          return fail(path, "span stage '" + name->string + "': '" + field +
-                                "' is " + number_problem(v));
-        }
-      }
-    }
-    stages_checked = stages->array.size();
   }
 
-  std::printf("bench_validate: %s OK (%zu phases, %zu scalars, %zu span stages)\n",
-              path, phases->array.size(), scalars->object.size(), stages_checked);
+  std::printf("bench_validate: %s OK (%zu phases, %zu scalars, %zu metrics)\n",
+              path, phases->array.size(), scalars->object.size(), metric_count);
   return true;
 }
 

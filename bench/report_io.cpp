@@ -56,7 +56,10 @@ std::optional<Report> load_report(const char* path, const char* tool) {
   if (const Value* scalars = doc->find("scalars");
       scalars != nullptr && scalars->is_object()) {
     for (const auto& [key, v] : scalars->object) {
+      // The writer encodes NaN/Inf as null; keep the key, as NaN, so the
+      // tools can refuse it instead of treating it as missing.
       if (v.is_number()) r.scalars.emplace_back(key, v.number);
+      if (v.is_null()) r.scalars.emplace_back(key, std::nan(""));
     }
   }
   if (const Value* labels = doc->find("labels");

@@ -22,6 +22,7 @@ namespace msts::benchtool {
 struct Report {
   std::string path;   ///< Where it was loaded from (for messages).
   std::string bench;  ///< "bench" field; may be empty in synthetic fixtures.
+  /// A null scalar (how the writer encodes NaN/Inf) loads as NaN.
   std::vector<std::pair<std::string, double>> scalars;
   std::vector<std::pair<std::string, std::string>> labels;
   std::vector<std::pair<std::string, double>> phase_wall_s;

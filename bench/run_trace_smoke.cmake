@@ -1,8 +1,9 @@
-# Runs one bench at reduced scale with span tracing on and a Perfetto export
-# path set, then validates both outputs: the BENCH_<name>.json report (which
-# must carry a non-empty spans / span_stages section) and the exported Chrome
-# trace-event file (bench_validate --trace checks slice shape and async
-# begin/end balance). Invoked by the trace_smoke CTest test as
+# Runs one bench at reduced scale with metrics and span tracing on and a
+# Perfetto export path set, then validates both outputs: the BENCH_<name>.json
+# report (which must count recorded spans and carry at least one timer entry,
+# the per-stage latency aggregate) and the exported Chrome trace-event file
+# (bench_validate --trace checks slice shape and async begin/end balance).
+# Invoked by the trace_smoke CTest test as
 #   cmake -DBENCH_EXE=... -DVALIDATOR=... -DJSON_NAME=... -DOUT_DIR=...
 #         -P run_trace_smoke.cmake
 foreach(var BENCH_EXE VALIDATOR JSON_NAME OUT_DIR)
@@ -20,6 +21,7 @@ endif()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(ENV{MSTS_BENCH_JSON_DIR} "${OUT_DIR}")
+set(ENV{MSTS_METRICS} "1")
 set(ENV{MSTS_TRACE} "1")
 set(ENV{MSTS_TRACE_PATH} "${OUT_DIR}/trace.json")
 
@@ -34,20 +36,31 @@ if(NOT validate_rc EQUAL 0)
   message(FATAL_ERROR "bench report validation failed (status ${validate_rc})")
 endif()
 
-# The validator checks the span sections when they are present; a traced
-# run must also have them, with at least one span recorded.
+# The validator checks the span count and the metric entries when they are
+# present; a traced, metered run must also have them: at least one span and
+# at least one timer.
 file(READ "${OUT_DIR}/${JSON_NAME}" report)
 string(JSON span_count ERROR_VARIABLE spans_err GET "${report}" spans)
 if(spans_err)
   message(FATAL_ERROR "traced report has no 'spans': ${spans_err}")
 endif()
-string(JSON stage_count ERROR_VARIABLE stages_err LENGTH "${report}" span_stages)
-if(stages_err)
-  message(FATAL_ERROR "traced report has no 'span_stages': ${stages_err}")
+string(JSON metric_count ERROR_VARIABLE metrics_err LENGTH "${report}" metrics)
+if(metrics_err)
+  message(FATAL_ERROR "metered report has no 'metrics': ${metrics_err}")
 endif()
-if(span_count LESS_EQUAL 0 OR stage_count LESS_EQUAL 0)
+set(timer_count 0)
+if(metric_count GREATER 0)
+  math(EXPR last "${metric_count} - 1")
+  foreach(i RANGE ${last})
+    string(JSON kind GET "${report}" metrics ${i} kind)
+    if(kind STREQUAL "timer")
+      math(EXPR timer_count "${timer_count} + 1")
+    endif()
+  endforeach()
+endif()
+if(span_count LESS_EQUAL 0 OR timer_count LESS_EQUAL 0)
   message(FATAL_ERROR "traced report recorded nothing: spans=${span_count}, "
-                      "span_stages has ${stage_count} entries")
+                      "${timer_count} timer entries")
 endif()
 
 if(NOT EXISTS "${OUT_DIR}/trace.json")

@@ -36,7 +36,7 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
 
   // Dedicated good-machine pass: the reference waveform no longer piggybacks
   // on batch 0, so every faulty batch is independent of the others and may
-  // run concurrently (and end early under stop_at_first_detection).
+  // run concurrently.
   {
     ParallelSimulator sim(nl, 1);  // one machine suffices for the reference
     result.good_waveform.reserve(stimulus.size());
@@ -76,13 +76,6 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
       }
     }
 
-    // Bits of machines 1..batch across the word group — the "every fault
-    // detected" early-exit target.
-    std::vector<std::uint64_t> all_mask(mwords, 0);
-    for (std::size_t m = 1; m <= batch; ++m) {
-      all_mask[m / 64] |= 1ull << (m % 64);
-    }
-
     std::vector<std::uint64_t> detected_mask(mwords, 0);
     for (std::int64_t x : stimulus) {
       sim.set_bus(input, x);
@@ -106,15 +99,6 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
       }
 
       sim.clock();
-
-      if (options.stop_at_first_detection && !options.capture_waveforms) {
-        // All faults in this batch already detected: nothing more to learn.
-        bool all = true;
-        for (std::size_t wi = 0; wi < mwords; ++wi) {
-          all = all && (detected_mask[wi] & all_mask[wi]) == all_mask[wi];
-        }
-        if (all) break;
-      }
     }
     std::copy(detected_mask.begin(), detected_mask.end(),
               batch_masks.begin() + bi * mwords);

@@ -1,8 +1,9 @@
 // Parallel stuck-at fault simulation driver.
 //
-// Runs the fault universe in batches of 63 faulty machines plus the good
-// machine (bit 0) against a broadcast stimulus sequence. Two observation
-// styles, matching the paper's two detection regimes:
+// Runs the fault universe in batches of 64 * fault_words - 1 faulty machines
+// (63 scalar, 127 NEON, 255 AVX2, 511 AVX-512; FaultSimOptions::machine_words)
+// plus the good machine (bit 0) against a broadcast stimulus sequence. Two
+// observation styles, matching the paper's two detection regimes:
 //  * exact compare — a fault is detected when any output bit differs from
 //    the good machine in any cycle (the "exact inputs known" regime of
 //    sec. 5's 89.6 % / 95.5 % coverage figures);
@@ -24,7 +25,6 @@ namespace msts::digital {
 /// What simulate_faults should record.
 struct FaultSimOptions {
   bool capture_waveforms = false;  ///< Keep per-fault output streams.
-  bool stop_at_first_detection = false;  ///< Exact compare may end a batch early.
   /// Batches run concurrently, each on its own simulator instance; the
   /// result is identical for every thread count (the batch partition is
   /// fixed and there is no randomness). > 0 forces a count; 0 defers to

@@ -1,6 +1,7 @@
 #include "obs/bench_report.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +54,23 @@ int resolved_thread_count() {
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// Where the time went: one row per timer (a span's stage), most total time
+// first, with quantiles from the timer's log2 bins.
+void print_stage_table(std::vector<Metric>& timers) {
+  std::sort(timers.begin(), timers.end(), [](const Metric& a, const Metric& b) {
+    if (a.total_ns != b.total_ns) return a.total_ns > b.total_ns;
+    return a.name < b.name;
+  });
+  std::printf("%-32s %10s %12s %10s %10s %10s\n", "stage", "count", "total_ms",
+              "p50_us", "p99_us", "max_us");
+  for (const Metric& m : timers) {
+    std::printf("%-32s %10" PRIu64 " %12.3f %10.1f %10.1f %10.1f\n", m.name.c_str(),
+                m.count, static_cast<double>(m.total_ns) / 1e6,
+                quantile_ns(m, 0.50) / 1e3, quantile_ns(m, 0.99) / 1e3,
+                static_cast<double>(m.max_ns) / 1e3);
+  }
 }
 
 }  // namespace
@@ -151,9 +169,12 @@ bool BenchReport::write() {
     for (const auto& [key, v] : labels_) w.kv(std::string_view(key), std::string_view(v));
     w.end_object();
   }
+  // Timers are the stage aggregate: each carries its p50 / p99 here and
+  // a row in the stdout stage table.
+  std::vector<Metric> timers;
   if (metrics_enabled()) {
     w.key("metrics").begin_array();
-    for (const Metric& m : Registry::instance().snapshot()) {
+    for (Metric& m : Registry::instance().snapshot()) {
       w.begin_object();
       w.kv("name", std::string_view(m.name));
       w.kv("kind", to_string(m.kind));
@@ -162,36 +183,23 @@ bool BenchReport::write() {
         w.kv("total_ns", m.total_ns);
         w.kv("min_ns", m.min_ns);
         w.kv("max_ns", m.max_ns);
+        w.kv("p50_ns", quantile_ns(m, 0.5));
+        w.kv("p99_ns", quantile_ns(m, 0.99));
+        timers.push_back(std::move(m));
       }
       w.end_object();
     }
     w.end_array();
   }
-  // Spans drain once per report: the drained batch feeds the per-stage
-  // attribution (JSON + stdout) and, when MSTS_TRACE_PATH is set, the
-  // Chrome/Perfetto export.
+  // Spans drain once per report, into the Chrome/Perfetto export when
+  // MSTS_TRACE_PATH is set.
   std::vector<SpanRecord> spans;
   std::uint64_t spans_lost = 0;
-  std::vector<StageAttribution> stages;
   if (trace_enabled()) {
     spans_lost = spans_dropped();  // read before the drain resets it
     spans = spans_drain();
-    stages = latency_attribution(spans);
     w.kv("spans", static_cast<std::uint64_t>(spans.size()));
     w.kv("spans_dropped", spans_lost);
-    w.key("span_stages").begin_array();
-    for (const StageAttribution& s : stages) {
-      w.begin_object();
-      w.kv("name", std::string_view(s.name));
-      w.kv("count", s.count);
-      w.kv("total_ns", s.total_ns);
-      w.kv("min_ns", s.min_ns);
-      w.kv("max_ns", s.max_ns);
-      w.kv("p50_ns", attribution_quantile_ns(s, 0.5));
-      w.kv("p99_ns", attribution_quantile_ns(s, 0.99));
-      w.end_object();
-    }
-    w.end_array();
   }
   w.end_object();
 
@@ -213,8 +221,8 @@ bool BenchReport::write() {
   for (const PhaseRecord& p : phases_) {
     std::printf("[obs]   phase %-24s %8.3f s\n", p.label.c_str(), p.wall_s);
   }
-  if (!stages.empty()) {
-    std::printf("%s", attribution_to_text(stages).c_str());
+  if (!timers.empty()) print_stage_table(timers);
+  if (!spans.empty()) {
     if (spans_lost > 0) {
       std::printf("[obs]   (%llu span%s dropped by full ring buffers)\n",
                   static_cast<unsigned long long>(spans_lost),

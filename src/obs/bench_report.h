@@ -17,16 +17,18 @@
 //   "scalars": { "<key>": <double>, ... },
 //   "labels":  { "<key>": "<string>", ... },          // optional
 //   "metrics": [ {"name": ..., "kind": ..., "count": ...,
-//                 "total_ns": ...}, ... ],            // MSTS_METRICS only
-//   "spans": <int>, "spans_dropped": <int>,           // MSTS_TRACE only
-//   "span_stages": [ {"name": ..., "count": ..., "total_ns": ...,
-//                     "min_ns": ..., "max_ns": ...,
-//                     "p50_ns": ..., "p99_ns": ...}, ... ]
+//                 "total_ns": ..., "min_ns": ..., "max_ns": ...,
+//                 "p50_ns": ..., "p99_ns": ...}, ... ],  // MSTS_METRICS only;
+//                                                        // *_ns on timers only
+//   "spans": <int>, "spans_dropped": <int>            // MSTS_TRACE only
 // }
 //
-// With tracing on, write() drains the span buffers (obs/span.h): the batch
-// becomes the span_stages attribution above (also printed as a stdout table)
-// and, when MSTS_TRACE_PATH is set, a Chrome/Perfetto trace-event file.
+// With metrics on, the timers are the per-stage latency aggregate: every
+// span records one under its own name, and write() prints them as a stdout
+// table (count, total, p50 / p99 from the timer's log2 bins, max), most
+// total time first. With tracing on, write() drains the span buffers
+// (obs/span.h) and, when MSTS_TRACE_PATH is set, exports the batch as a
+// Chrome/Perfetto trace-event file.
 //
 // The output directory defaults to the build tree the library was configured
 // in (MSTS_BENCH_JSON_DEFAULT_DIR, injected by CMake; the working directory

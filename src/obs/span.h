@@ -5,8 +5,8 @@
 // key/value annotations. What it records follows the two switches of
 // obs/config.h, read once at construction:
 //  * metrics on — one registry timer sample under the span's own name
-//    (obs/registry.h), so a stage's count / total / min / max lands in every
-//    metric snapshot;
+//    (obs/registry.h), so a stage's count / total / min / max and log2
+//    duration bins land in every metric snapshot;
 //  * trace on — an id, the thread's parent cursor and a ring record; the
 //    records from every thread assemble into a per-request span *tree*
 //    (service request -> queue wait / cache probe / execute -> synthesize
@@ -16,14 +16,15 @@
 // branch in the destructor — no clock read, no allocation, no lock — so hot
 // paths are instrumented unconditionally.
 //
-// Buffering follows the registry's sink model (obs/registry.h): every thread
-// writes into its own fixed-capacity ring buffer behind a per-thread mutex
-// (uncontended; taken so drains can read live sinks), a sink retires its
-// records into the collector when its thread exits, and spans_drain()
-// atomically collects-and-clears retired records plus every live ring. A
-// full ring overwrites its oldest record and counts it in spans_dropped(),
-// so `drained + dropped` always conserves the number of spans emitted —
-// the same conservation contract Registry::drain() gives counters.
+// Buffering: every thread writes into a fixed-capacity ring that lives in
+// its registry sink, next to the thread's metric cells (obs/registry.h) —
+// one registration, one retire at thread exit, and one uncontended lock per
+// recorded span, even when the span records both its timer and its ring
+// record. spans_drain() atomically collects-and-clears retired records plus
+// every live ring. A full ring overwrites its oldest record and counts it in
+// spans_dropped(), so `drained + dropped` always conserves the number of
+// spans emitted — the same conservation contract Registry::drain() gives
+// counters.
 //
 // Parenting: each thread keeps a current-span cursor; a Span constructed
 // without an explicit parent nests under the thread's innermost open span.
@@ -35,17 +36,18 @@
 // then reconciles exactly with the durations computed from the same time
 // points.
 //
-// Exporters:
-//  * spans_to_chrome_json — Chrome/Perfetto trace-event JSON ("X" complete
-//    slices per thread; records marked `async` become "b"/"e" nestable async
-//    events so overlapping per-request spans get their own tracks). Load the
-//    file in ui.perfetto.dev or chrome://tracing. MSTS_TRACE_PATH (see
-//    obs/config.h) names the export file: BenchReport::write() flushes the
-//    drained batch there, and spans_flush_to_trace_path() does the same for
-//    programs without a bench report.
-//  * latency_attribution — per-stage aggregation (count / total / min / max
-//    and log2 histogram bins, same binning as obs::Metric) answering "where
-//    did the time go" without a UI.
+// Exporter: spans_to_chrome_json writes Chrome/Perfetto trace-event JSON
+// ("X" complete slices per thread; records marked `async` become "b"/"e"
+// nestable async events so overlapping per-request spans get their own
+// tracks). Load the
+// file in ui.perfetto.dev or chrome://tracing. MSTS_TRACE_PATH (see
+// obs/config.h) names the export file: BenchReport::write() flushes the
+// drained batch there, and spans_flush_to_trace_path() does the same for
+// programs without a bench report.
+//
+// Stage latency is not aggregated here: each span's timer already carries
+// its stage's count / total / min / max and log2 bins (obs::quantile_ns),
+// and BenchReport prints the per-stage table from the timers.
 #pragma once
 
 #include <array>
@@ -196,28 +198,5 @@ bool spans_write_chrome(const std::string& path,
 /// Returns the number of records written; 0 (and drains nothing) when no
 /// trace path is configured.
 std::size_t spans_flush_to_trace_path();
-
-/// Per-stage latency attribution over a drained batch.
-struct StageAttribution {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = 0;
-  std::uint64_t max_ns = 0;
-  /// Log2 duration histogram, same binning as obs::Metric (seconds).
-  std::array<std::uint64_t, Metric::kHistBins> bins{};
-};
-
-/// Aggregates records by stage name, sorted by total_ns descending (name
-/// ascending on ties).
-std::vector<StageAttribution> latency_attribution(
-    const std::vector<SpanRecord>& spans);
-
-/// Approximate quantile (q in [0,1]) in nanoseconds from the log2 bins,
-/// clamped to [min_ns, max_ns].
-double attribution_quantile_ns(const StageAttribution& stage, double q);
-
-/// Human-readable attribution table (one line per stage).
-std::string attribution_to_text(const std::vector<StageAttribution>& stages);
 
 }  // namespace msts::obs

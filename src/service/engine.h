@@ -38,8 +38,8 @@
 // Served::queue_wait_ns and exec_ns, so the queue_wait stage equals
 // queue_wait_ns exactly and cache_probe + execute sum to exec_ns exactly,
 // as timers and as spans. Work nested inside execution (core.synthesize,
-// stats.parallel_for / sched.run / sched.task chunks, dsp plan-cache
-// builds) parents under the execute span. Besides the spans: a latency
+// sched.run / sched.task chunks, dsp plan-cache builds) parents under the
+// execute span. Besides the spans: a latency
 // histogram (service.request.latency_s) and counters service.requests.{
 // submitted,rejected,errors} and service.cache.{hit,miss,insert,
 // race_adopted}.

@@ -6,7 +6,6 @@
 
 #include "obs/config.h"
 #include "obs/registry.h"
-#include "obs/span.h"
 #include "stats/scheduler.h"
 
 namespace msts::stats {
@@ -36,13 +35,9 @@ void parallel_for_index(std::size_t n, int threads,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  obs::counter_add("stats.parallel_for.parallel_runs");
+  // The region itself is recorded by the scheduler: sched.runs and
+  // sched.nested_runs count it, its sched.run span times it.
   obs::counter_add("stats.parallel_for.indices", n);
-
-  // One span for the whole region on the calling thread; the scheduler's
-  // sched.run / sched.task spans nest beneath it.
-  obs::Span region_span("stats.parallel_for");
-  region_span.note("n", static_cast<std::int64_t>(n));
 
   if (Scheduler* sched = Scheduler::current()) {
     // Nested call from inside a scheduler task: submit a child task-set
@@ -51,8 +46,6 @@ void parallel_for_index(std::size_t n, int threads,
     // workers (growing the scheduler from inside one of its own tasks would
     // swap it out from under its callers), and idle workers steal the child
     // chunks, so nesting composes instead of oversubscribing.
-    obs::counter_add("stats.parallel_for.nested_runs");
-    region_span.note("nested", std::int64_t{1});
     sched->run(n, fn);
     return;
   }
@@ -65,7 +58,6 @@ void parallel_for_index(std::size_t n, int threads,
   // workers would have no chunk to run.
   const int runners =
       static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(resolved), n));
-  region_span.note("runners", static_cast<std::int64_t>(runners));
   const std::shared_ptr<Scheduler> sched = Scheduler::shared(runners);
   sched->run(n, fn);
 }

@@ -314,6 +314,51 @@ TEST(ObsRegistry, DrainConservesCountsAcrossThreadExitAndConcurrentDrains) {
   Registry::instance().reset();
 }
 
+// One sink per thread holds its metric cells and its span ring, so a thread
+// that exits retires both in one step: counters, span timers and span
+// records of exited threads are all conserved across one drain.
+TEST(ObsRegistry, DrainConservesCountersAndSpansOfExitingThreads) {
+  ConfigGuard guard;
+  configure(make_config(true, true));
+  Registry::instance().reset();
+  (void)spans_drain();
+
+  constexpr int kRounds = 3;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 1000;  // far below the ring capacity
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i) {
+          counter_add("retire.count");
+          Span s("retire.span");
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  constexpr std::uint64_t kTotal = std::uint64_t{kRounds} * kThreads * kPerThread;
+
+  EXPECT_EQ(spans_dropped(), 0u);
+  std::uint64_t counted = 0;
+  std::uint64_t timed = 0;
+  for (const Metric& m : Registry::instance().drain()) {
+    if (m.name == "retire.count") counted += m.count;
+    if (m.name == "retire.span") timed += m.count;
+  }
+  std::uint64_t recorded = 0;
+  for (const SpanRecord& r : spans_drain()) {
+    if (std::string_view(r.name) == "retire.span") ++recorded;
+  }
+  EXPECT_EQ(counted, kTotal);
+  EXPECT_EQ(timed, kTotal);
+  EXPECT_EQ(recorded, kTotal);
+  // Both halves were collected and cleared.
+  EXPECT_TRUE(Registry::instance().drain().empty());
+  EXPECT_TRUE(spans_drain().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Disabled mode is a true no-op: no allocations on the instrumented path.
 // ---------------------------------------------------------------------------
@@ -539,6 +584,69 @@ TEST(ObsBenchReport, NonFiniteScalarSerializesAsNull) {
   EXPECT_EQ(v->find("scalars")->find("good")->number, 1.0);
 }
 
+// MSTS_METRICS alone says where the time went: a span's timer entry in the
+// report carries p50_ns / p99_ns, and stdout gets the stage table built from
+// the timers, most total time first. An untraced report has no span count.
+TEST(ObsBenchReport, MetricsOnlyReportCarriesTimerQuantiles) {
+  ConfigGuard guard;
+  configure(make_config(true, false));
+  EnvVarGuard dir_guard("MSTS_BENCH_JSON_DIR");
+  EnvVarGuard scale_guard("MSTS_BENCH_SCALE");
+  ::setenv("MSTS_BENCH_JSON_DIR", ::testing::TempDir().c_str(), 1);
+  ::unsetenv("MSTS_BENCH_SCALE");
+  Registry::instance().reset();
+
+  std::string path;
+  std::string out;
+  {
+    BenchReport report("obs_metrics_selftest");
+    path = report.json_path();
+    std::remove(path.c_str());
+    { Span s("report.stage"); }
+    for (int i = 0; i < 10; ++i) timer_record_ns("report.slow_stage", 1000000);
+    ::testing::internal::CaptureStdout();
+    const bool written = report.write();
+    out = ::testing::internal::GetCapturedStdout();
+    EXPECT_TRUE(written);
+  }
+  Registry::instance().reset();
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::remove(path.c_str());
+  std::string err;
+  const auto v = json::parse(buf.str(), &err);
+  ASSERT_TRUE(v.has_value()) << err << "\n" << buf.str();
+  EXPECT_EQ(v->find("spans"), nullptr);
+
+  const json::Value* metrics = v->find("metrics");
+  ASSERT_TRUE(metrics != nullptr && metrics->is_array());
+  const json::Value* stage = nullptr;
+  for (const json::Value& m : metrics->array) {
+    if (m.find("name")->string == "report.stage") stage = &m;
+  }
+  ASSERT_NE(stage, nullptr);
+  EXPECT_EQ(stage->find("kind")->string, "timer");
+  EXPECT_EQ(stage->find("count")->number, 1.0);
+  for (const char* key : {"p50_ns", "p99_ns"}) {
+    const json::Value* q = stage->find(key);
+    ASSERT_TRUE(q != nullptr && q->is_number()) << key;
+    EXPECT_GE(q->number, stage->find("min_ns")->number) << key;
+    EXPECT_LE(q->number, stage->find("max_ns")->number) << key;
+  }
+
+  const std::size_t header = out.find("p50_us");
+  const std::size_t slow = out.find("report.slow_stage");
+  const std::size_t fast = out.find("report.stage");
+  ASSERT_NE(header, std::string::npos) << out;
+  ASSERT_NE(slow, std::string::npos) << out;
+  ASSERT_NE(fast, std::string::npos) << out;
+  EXPECT_LT(header, slow);
+  EXPECT_LT(slow, fast) << "stages are listed by total time";
+}
+
 TEST(ObsBenchReport, ScaledHelpers) {
   EnvVarGuard scale_guard("MSTS_BENCH_SCALE");
   ::unsetenv("MSTS_BENCH_SCALE");
@@ -734,7 +842,7 @@ TEST(ObsSpan, MetricsOnlySpanRecordsTimerWithoutRecord) {
 }
 
 // The scheduler's span tree under an enclosing request span:
-//   test.request -> stats.parallel_for -> sched.run -> sched.task*
+//   test.request -> sched.run -> sched.task*
 // Every sched.task parents under the sched.run even when it executed on a
 // stolen chunk on another thread, and the task "count" notes add up to the
 // full index range. A two-index rendezvous (first and last index block
@@ -771,18 +879,19 @@ TEST(ObsSpan, ParallelForTasksParentUnderRegionAcrossThreads) {
 
   const auto spans = spans_drain();
   const SpanRecord* request_rec = nullptr;
-  const SpanRecord* region = nullptr;
   const SpanRecord* run = nullptr;
+  std::size_t runs = 0;
   for (const SpanRecord& s : spans) {
     if (std::string_view(s.name) == "test.request") request_rec = &s;
-    if (std::string_view(s.name) == "stats.parallel_for") region = &s;
-    if (std::string_view(s.name) == "sched.run") run = &s;
+    if (std::string_view(s.name) == "sched.run") {
+      run = &s;
+      ++runs;
+    }
   }
   ASSERT_NE(request_rec, nullptr);
-  ASSERT_NE(region, nullptr);
   ASSERT_NE(run, nullptr);
-  EXPECT_EQ(region->parent, request_rec->id);
-  EXPECT_EQ(run->parent, region->id);
+  EXPECT_EQ(runs, 1u) << "the region is recorded once, by the scheduler";
+  EXPECT_EQ(run->parent, request_rec->id);
 
   std::int64_t indices = 0;
   std::size_t tasks = 0;
@@ -793,7 +902,7 @@ TEST(ObsSpan, ParallelForTasksParentUnderRegionAcrossThreads) {
     // Every task parents under the run even when it executed on a worker
     // thread that had no thread-local cursor of its own.
     EXPECT_EQ(s.parent, run->id);
-    if (s.tid != region->tid) multi_thread = true;
+    if (s.tid != run->tid) multi_thread = true;
     for (std::uint8_t i = 0; i < s.note_count; ++i) {
       if (std::string_view(s.notes[i].key) == "count") indices += s.notes[i].i;
     }
@@ -901,43 +1010,42 @@ TEST(ObsSpanExport, ChromeJsonParsesAndAsyncPairsBalance) {
   EXPECT_EQ(balance, 0);
 }
 
+// Stage latency is attributed by the registry timers a span records: a
+// timer carries count / total / min / max and log2 bins of its durations,
+// from which quantile_ns estimates p50 / p99.
 TEST(ObsSpanAttribution, AggregatesByStageWithQuantiles) {
-  std::vector<SpanRecord> spans;
-  const auto mk = [](const char* name, std::uint64_t dur_ns) {
-    SpanRecord r;
-    r.name = name;
-    r.id = 1;
-    r.dur_ns = dur_ns;
-    return r;
-  };
-  for (int i = 0; i < 90; ++i) spans.push_back(mk("fast", 1000));
-  for (int i = 0; i < 10; ++i) spans.push_back(mk("fast", 1000000));
-  spans.push_back(mk("slow", 5000000));
+  ConfigGuard guard;
+  configure(make_config(true, false));
+  Registry::instance().reset();
+  for (int i = 0; i < 90; ++i) timer_record_ns("fast", 1000);
+  for (int i = 0; i < 10; ++i) timer_record_ns("fast", 1000000);
+  timer_record_ns("slow", 5000000);
 
-  const auto stages = latency_attribution(spans);
+  const auto stages = Registry::instance().snapshot();
+  Registry::instance().reset();
   ASSERT_EQ(stages.size(), 2u);
-  // Sorted by total time: fast contributes 90us + 10ms, slow 5ms... fast
-  // first (10.09ms > 5ms).
   EXPECT_EQ(stages[0].name, "fast");
+  EXPECT_EQ(stages[0].kind, Metric::Kind::kTimer);
   EXPECT_EQ(stages[0].count, 100u);
   EXPECT_EQ(stages[0].total_ns, 90u * 1000 + 10u * 1000000);
   EXPECT_EQ(stages[0].min_ns, 1000u);
   EXPECT_EQ(stages[0].max_ns, 1000000u);
+  // Durations bin in seconds, like every other log2 bin of the registry.
+  EXPECT_EQ(stages[0].bins[histogram_bin_of(1e-6)], 90u);
+  EXPECT_EQ(stages[0].bins[histogram_bin_of(1e-3)], 10u);
   EXPECT_EQ(stages[1].name, "slow");
   EXPECT_EQ(stages[1].count, 1u);
 
   // p50 lands in the 1us population, p99 in the 1ms tail; both clamp inside
   // [min, max].
-  const double p50 = attribution_quantile_ns(stages[0], 0.50);
-  const double p99 = attribution_quantile_ns(stages[0], 0.99);
+  const double p50 = quantile_ns(stages[0], 0.50);
+  const double p99 = quantile_ns(stages[0], 0.99);
   EXPECT_GE(p50, 1000.0);
   EXPECT_LT(p50, 10000.0);
   EXPECT_GT(p99, 100000.0);
   EXPECT_LE(p99, 1000000.0);
-
-  const std::string text = attribution_to_text(stages);
-  EXPECT_NE(text.find("fast"), std::string::npos);
-  EXPECT_NE(text.find("slow"), std::string::npos);
+  EXPECT_EQ(quantile_ns(stages[1], 0.50), 5000000.0);  // one sample: min == max
+  EXPECT_EQ(quantile_ns(Metric{}, 0.50), 0.0);
 }
 
 TEST(ObsSpanExport, FlushToTracePathWritesValidChromeFile) {
