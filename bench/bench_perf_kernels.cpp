@@ -18,9 +18,11 @@
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
 #include "obs/bench_report.h"
+#include "path/lanes.h"
 #include "path/measurements.h"
 #include "path/path_graph.h"
 #include "service/request.h"
+#include "stats/parallel.h"
 #include "stats/rng.h"
 #include "stats/yield.h"
 
@@ -137,6 +139,30 @@ static void BM_PathTransient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_PathTransient);
+
+// The same transient for path::kLanes devices side by side (path/lanes.h):
+// one shared stimulus, each lane on its own noise stream. Items are
+// lane-samples, so the rate compares directly with BM_PathTransient's.
+static void BM_PathTransientLanes(benchmark::State& state) {
+  const auto config = path::reference_path_config();
+  const path::PathGraph path(config);
+  const dsp::Tone t{config.lo.freq_hz + 400e3, 1e-3, 0.0};
+  analog::Signal rf;
+  rf.fs = config.analog_fs;
+  rf.samples = dsp::generate_tones(std::span(&t, 1), 0.0, config.analog_fs, 8192);
+  std::vector<stats::Rng> rngs = stats::make_streams(stats::Rng(1), path::kLanes);
+  std::vector<const path::PathGraph*> devices(path::kLanes, &path);
+  std::vector<stats::Rng*> streams;
+  for (stats::Rng& r : rngs) streams.push_back(&r);
+  path::LaneWorkspace ws;
+  for (auto _ : state) {
+    path::run_lanes(devices, rf, streams, ws);
+    benchmark::DoNotOptimize(ws.traces[0].filter_out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 8192 *
+                          static_cast<std::int64_t>(path::kLanes));
+}
+BENCHMARK(BM_PathTransientLanes);
 
 // The Gaussian noise behind the amp, mixer and LO stages: one 32768-sample
 // transient record of deviates per iteration, drawn one normal() call at a

@@ -2,12 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "base/memo.h"
 #include "base/require.h"
 #include "base/units.h"
 #include "stats/monte_carlo.h"
 
 namespace msts::analog {
+
+namespace {
+
+// sin(pi * u) at every code of a `bits`-bit converter, u = 2c/(codes-1) - 1:
+// the shape of the INL bow, the same for every converter of a resolution.
+// Computed once per resolution and shared across threads.
+std::shared_ptr<const std::vector<double>> inl_bow(int bits) {
+  static Memo<int, std::vector<double>> memo;
+  if (auto hit = memo.lookup(bits)) return hit;
+  const std::size_t codes = std::size_t{1} << bits;
+  auto bow = std::make_shared<std::vector<double>>(codes);
+  for (std::size_t c = 0; c < codes; ++c) {
+    const double u = 2.0 * static_cast<double>(c) / static_cast<double>(codes - 1) - 1.0;
+    (*bow)[c] = std::sin(kPi * u);
+  }
+  return memo.insert(bits, std::move(bow));
+}
+
+}  // namespace
 
 Adc::Adc(int bits, double vref, double offset_error_v, double gain_error,
          double inl_peak_lsb, double dnl_sigma_lsb, std::uint64_t pattern_seed)
@@ -20,16 +41,18 @@ Adc::Adc(int bits, double vref, double offset_error_v, double gain_error,
   MSTS_REQUIRE(vref > 0.0, "reference voltage must be positive");
 
   // Fixed per-instance INL signature: a smooth S-shaped bow of amplitude
-  // inl_peak_lsb plus a zero-mean DNL random walk.
+  // inl_peak_lsb plus a zero-mean DNL random walk. The walk's deviates land
+  // in the table first (one block draw); the walk then overwrites each with
+  // its code's INL.
   const std::size_t codes = std::size_t{1} << bits;
   inl_table_.resize(codes);
   stats::Rng pattern_rng(pattern_seed);
+  pattern_rng.fill_normal(inl_table_);
+  const std::shared_ptr<const std::vector<double>> bow = inl_bow(bits);
   double walk = 0.0;
   for (std::size_t c = 0; c < codes; ++c) {
-    const double u = 2.0 * static_cast<double>(c) / static_cast<double>(codes - 1) - 1.0;
-    walk += dnl_sigma_lsb * pattern_rng.normal() /
-            std::sqrt(static_cast<double>(codes));
-    inl_table_[c] = inl_peak_lsb * std::sin(kPi * u) + walk;
+    walk += dnl_sigma_lsb * inl_table_[c] / std::sqrt(static_cast<double>(codes));
+    inl_table_[c] = inl_peak_lsb * (*bow)[c] + walk;
   }
   // Re-centre the walk so offset/gain error stay the explicit parameters.
   double mean = 0.0;
@@ -69,17 +92,23 @@ double Adc::inl_at(double u) const {
 
 void Adc::digitize_into(const Signal& in, std::size_t decimation,
                         std::vector<std::int64_t>& out) const {
-  MSTS_REQUIRE(decimation >= 1, "decimation must be >= 1");
   MSTS_REQUIRE(in.fs > 0.0, "input signal has no sample rate");
+  digitize_strided(in.samples.data(), in.size(), 1, decimation, out);
+}
+
+void Adc::digitize_strided(const double* x, std::size_t n, std::size_t stride,
+                           std::size_t decimation,
+                           std::vector<std::int64_t>& out) const {
+  MSTS_REQUIRE(decimation >= 1, "decimation must be >= 1");
 
   const double q = lsb();
   const auto code_min = static_cast<double>(-(1ll << (bits_ - 1)));
   const auto code_max = static_cast<double>((1ll << (bits_ - 1)) - 1);
 
   out.clear();
-  out.reserve(in.size() / decimation + 1);
-  for (std::size_t i = 0; i < in.size(); i += decimation) {
-    const double v = (in.samples[i] + offset_error_v_) * (1.0 + gain_error_);
+  out.reserve(n / decimation + 1);
+  for (std::size_t i = 0; i < n; i += decimation) {
+    const double v = (x[i * stride] + offset_error_v_) * (1.0 + gain_error_);
     MSTS_REQUIRE(std::isfinite(v),
                  "ADC input is not finite (sample with offset and gain error)");
     const double u = v / vref_;  // normalised position in [-1, 1]

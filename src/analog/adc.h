@@ -44,6 +44,12 @@ class Adc {
   void digitize_into(const Signal& in, std::size_t decimation,
                      std::vector<std::int64_t>& out) const;
 
+  /// digitize_into() of a strided record whose sample i is x[i * stride],
+  /// i < n: the lane walk (path/lanes.h) reads one lane of an interleaved
+  /// record this way.
+  void digitize_strided(const double* x, std::size_t n, std::size_t stride,
+                        std::size_t decimation, std::vector<std::int64_t>& out) const;
+
   /// Converter LSB size in volts.
   double lsb() const;
   /// Digital rate after decimating an input at rate fs.

@@ -49,15 +49,22 @@ Amplifier Amplifier::sampled(const AmpParams& p, stats::Rng& rng) {
   return Amplifier(gain_db, iip3_dbm, iip2_dbm, p1db_in_dbm, nf_db, dc_offset_v);
 }
 
+Amplifier::Coeffs Amplifier::coeffs(double fs) const {
+  Coeffs k;
+  k.a1 = amplitude_ratio_from_db(gain_db_);
+  k.c3 = c3_from_iip3(vpeak_from_dbm(iip3_dbm_));
+  k.c2 = c2_from_iip2(vpeak_from_dbm(iip2_dbm_));
+  k.vsat = vsat_from_p1db(vpeak_from_dbm(p1db_in_dbm_), k.a1);
+  k.noise_sigma = noise_vrms_from_nf(nf_db_, fs);
+  k.dc_offset_v = dc_offset_v_;
+  return k;
+}
+
 void Amplifier::process_into(const Signal& in, stats::Rng& noise_rng,
                              Signal& out) const {
   MSTS_REQUIRE(in.fs > 0.0, "input signal has no sample rate");
   MSTS_REQUIRE(&out != &in, "output must not alias the input");
-  const double a1 = amplitude_ratio_from_db(gain_db_);
-  const double c3 = c3_from_iip3(vpeak_from_dbm(iip3_dbm_));
-  const double c2 = c2_from_iip2(vpeak_from_dbm(iip2_dbm_));
-  const double vsat = vsat_from_p1db(vpeak_from_dbm(p1db_in_dbm_), a1);
-  const double noise_sigma = noise_vrms_from_nf(nf_db_, in.fs);
+  const Coeffs k = coeffs(in.fs);
 
   out.fs = in.fs;
   out.samples.resize(in.size());
@@ -66,10 +73,7 @@ void Amplifier::process_into(const Signal& in, stats::Rng& noise_rng,
   noise_rng.fill_normal(out.samples);
   const double* src = in.samples.data();
   double* dst = out.samples.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const double xn = src[i] + noise_sigma * dst[i];
-    dst[i] = apply_nonlinearity(xn, a1, c2, c3, vsat) + dc_offset_v_;
-  }
+  for (std::size_t i = 0; i < in.size(); ++i) dst[i] = apply(k, src[i], dst[i]);
 }
 
 Signal Amplifier::process(const Signal& in, stats::Rng& noise_rng) const {

@@ -34,12 +34,16 @@ double LocalOscillator::actual_freq_hz() const {
   return freq_hz_ * (1.0 + freq_error_ppm_ * 1e-6);
 }
 
+double LocalOscillator::omega(double fs) const {
+  MSTS_REQUIRE(fs > 2.0 * actual_freq_hz(), "LO frequency above Nyquist");
+  return kTwoPi * actual_freq_hz() / fs;
+}
+
 void LocalOscillator::generate_into(double fs, std::size_t n, stats::Rng& noise_rng,
                                     Signal& out) const {
-  MSTS_REQUIRE(fs > 2.0 * actual_freq_hz(), "LO frequency above Nyquist");
+  const double w = omega(fs);
   out.fs = fs;
   out.samples.resize(n);
-  const double w = kTwoPi * actual_freq_hz() / fs;
   if (phase_noise_rad_ == 0.0) {
     // Jitter-free carrier: the four-lane cosine kernel.
     std::fill(out.samples.begin(), out.samples.end(), 0.0);

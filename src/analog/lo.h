@@ -40,6 +40,10 @@ class LocalOscillator {
   void generate_into(double fs, std::size_t n, stats::Rng& noise_rng,
                      Signal& out) const;
 
+  /// Carrier phase step per sample at rate fs (radians); throws when the
+  /// actual frequency is not below Nyquist.
+  double omega(double fs) const;
+
   /// Actual output frequency including the ppm error.
   double actual_freq_hz() const;
   double actual_freq_error_ppm() const { return freq_error_ppm_; }

@@ -5,6 +5,7 @@
 #include <complex>
 #include <vector>
 
+#include "base/chains.h"
 #include "base/require.h"
 #include "base/simd.h"
 #include "base/units.h"
@@ -62,12 +63,26 @@ LowPassFilter LowPassFilter::sampled(const LpfParams& p, stats::Rng& rng) {
   return LowPassFilter(cutoff_hz, passband_gain_db, p.order, p.clock_hz, clock_spur_v);
 }
 
-void LowPassFilter::process_into(const Signal& in, Signal& out) const {
-  MSTS_REQUIRE(in.fs > 0.0, "input signal has no sample rate");
-  MSTS_REQUIRE(cutoff_hz_ < in.fs / 2.0, "cutoff above simulation Nyquist");
-
+LowPassFilter::Design LowPassFilter::design(double fs) const {
+  MSTS_REQUIRE(fs > 0.0, "input signal has no sample rate");
+  MSTS_REQUIRE(cutoff_hz_ < fs / 2.0, "cutoff above simulation Nyquist");
   const auto qs = butterworth_qs(order_);
-  const double gain = amplitude_ratio_from_db(passband_gain_db_);
+  MSTS_REQUIRE(qs.size() <= Design::kMaxSections, "filter order too high");
+  Design d;
+  d.count = qs.size();
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    d.sections[k] = design_lowpass_biquad(cutoff_hz_, fs, qs[k]);
+  }
+  d.gain = amplitude_ratio_from_db(passband_gain_db_);
+  // The switched-cap clock spur, folded into the first Nyquist zone of the
+  // simulation rate if necessary.
+  d.spur_omega = kTwoPi * dsp::alias_frequency(clock_hz_, fs) / fs;
+  return d;
+}
+
+void LowPassFilter::process_into(const Signal& in, Signal& out) const {
+  const Design d = design(in.fs);
+  const double gain = d.gain;
 
   out.fs = in.fs;
   out.samples.resize(in.size());
@@ -76,28 +91,26 @@ void LowPassFilter::process_into(const Signal& in, Signal& out) const {
   // section k consumes section k-1's output for the same sample, which is
   // the same value (bit for bit) the pass-per-section form would store and
   // re-read, but the record crosses memory once instead of order_/2+2 times.
-  constexpr std::size_t kMaxSections = 8;
-  MSTS_REQUIRE(qs.size() <= kMaxSections, "filter order too high");
-  Biquad bq[kMaxSections];
-  double x1[kMaxSections] = {}, x2[kMaxSections] = {};
-  double y1[kMaxSections] = {}, y2[kMaxSections] = {};
-  for (std::size_t k = 0; k < qs.size(); ++k) {
-    bq[k] = design_lowpass_biquad(cutoff_hz_, in.fs, qs[k]);
-  }
-  const std::size_t sections = qs.size();
+  // The per-sample expressions are base/chains.h's, which the lane kernel
+  // (Kernels::lpf_lanes) shares.
+  const Biquad* bq = d.sections;
+  double x1[Design::kMaxSections] = {}, x2[Design::kMaxSections] = {};
+  double y1[Design::kMaxSections] = {}, y2[Design::kMaxSections] = {};
+  const std::size_t sections = d.count;
   const double* src = in.samples.data();
   double* dst = out.samples.data();
   const std::size_t n_s = in.size();
   const simd::Kernels& kern = simd::kernels();
   if (kern.f64_width > 1 && n_s > 0) {
     // SIMD path: each section's feed-forward half b0*x + b1*x[-1] + b2*x[-2]
-    // is a vectorizable sliding dot (kernel biquad_ff); only the short
-    // recurrence y = ff - a1*y1 - a2*y2 stays scalar. The split keeps the
-    // reference association ((ff - a1*y1) - a2*y2), so the only drift vs the
-    // scalar backend is FMA contraction inside the kernel — covered by the
-    // differential tolerance. The record crosses memory twice per section
-    // instead of once total, but the recurrence sweep is latency-bound on
-    // two flops either way, and the feed-forward half vectorizes fully.
+    // is a vectorizable sliding dot (kernel biquad_ff, fused explicitly);
+    // only the short recurrence y = ff - a1*y1 - a2*y2 stays scalar. The
+    // split keeps the reference association ((ff - a1*y1) - a2*y2), so the
+    // only drift vs the scalar backend is the feed-forward's FMA — covered
+    // by the differential tolerance. The record crosses memory twice per
+    // section instead of once total, but the recurrence sweep is
+    // latency-bound on two flops either way, and the feed-forward half
+    // vectorizes fully.
     // Ping-pong scratch: biquad_ff reads a sliding x[i-2..i] window, so it
     // must not write over the record it is reading.
     thread_local std::vector<double> buf_a, buf_b;
@@ -110,7 +123,7 @@ void LowPassFilter::process_into(const Signal& in, Signal& out) const {
       double ry1 = 0.0, ry2 = 0.0;
       const double a1 = bq[k].a1, a2 = bq[k].a2;
       for (std::size_t i = 0; i < n_s; ++i) {
-        const double y = nxt[i] - a1 * ry1 - a2 * ry2;
+        const double y = base::biquad_recur(nxt[i], ry1, ry2, a1, a2);
         ry2 = ry1;
         ry1 = y;
         nxt[i] = y;
@@ -131,16 +144,16 @@ void LowPassFilter::process_into(const Signal& in, Signal& out) const {
     // Prologue: section 0 consumes sample 0; section 1 has no input yet.
     // Full five-term form even at zero state: dropping the zero terms could
     // flip a signed zero and break bit-identity with the generic loop.
-    double h = b0.b0 * src[0] + b0.b1 * ax1 + b0.b2 * ax2 - b0.a1 * ay1 -
-               b0.a2 * ay2;
+    double h = base::biquad_direct(src[0], ax1, ax2, ay1, ay2, b0.b0, b0.b1, b0.b2,
+                                   b0.a1, b0.a2);
     ax2 = ax1;
     ax1 = src[0];
     ay2 = ay1;
     ay1 = h;
     for (std::size_t i = 1; i < n_s; ++i) {
       // Section 1, sample i-1 (input h from the previous iteration)...
-      const double y = b1.b0 * h + b1.b1 * cx1 + b1.b2 * cx2 - b1.a1 * cy1 -
-                       b1.a2 * cy2;
+      const double y = base::biquad_direct(h, cx1, cx2, cy1, cy2, b1.b0, b1.b1, b1.b2,
+                                           b1.a1, b1.a2);
       cx2 = cx1;
       cx1 = h;
       cy2 = cy1;
@@ -148,22 +161,22 @@ void LowPassFilter::process_into(const Signal& in, Signal& out) const {
       dst[i - 1] = y * gain;
       // ...and section 0, sample i, in the same iteration.
       const double x = src[i];
-      h = b0.b0 * x + b0.b1 * ax1 + b0.b2 * ax2 - b0.a1 * ay1 - b0.a2 * ay2;
+      h = base::biquad_direct(x, ax1, ax2, ay1, ay2, b0.b0, b0.b1, b0.b2, b0.a1, b0.a2);
       ax2 = ax1;
       ax1 = x;
       ay2 = ay1;
       ay1 = h;
     }
     // Epilogue: section 1 consumes the last section-0 output.
-    const double y = b1.b0 * h + b1.b1 * cx1 + b1.b2 * cx2 - b1.a1 * cy1 -
-                     b1.a2 * cy2;
+    const double y = base::biquad_direct(h, cx1, cx2, cy1, cy2, b1.b0, b1.b1, b1.b2,
+                                         b1.a1, b1.a2);
     dst[n_s - 1] = y * gain;
   } else {
     for (std::size_t i = 0; i < n_s; ++i) {
       double x = src[i];
       for (std::size_t k = 0; k < sections; ++k) {
-        const double y = bq[k].b0 * x + bq[k].b1 * x1[k] + bq[k].b2 * x2[k] -
-                         bq[k].a1 * y1[k] - bq[k].a2 * y2[k];
+        const double y = base::biquad_direct(x, x1[k], x2[k], y1[k], y2[k], bq[k].b0,
+                                             bq[k].b1, bq[k].b2, bq[k].a1, bq[k].a2);
         x2[k] = x1[k];
         x1[k] = x;
         y2[k] = y1[k];
@@ -174,11 +187,9 @@ void LowPassFilter::process_into(const Signal& in, Signal& out) const {
     }
   }
 
-  // The switched-cap clock spur (folded into the first Nyquist zone of the
-  // simulation rate if necessary), added by the recurrence oscillator.
-  const double spur_f = dsp::alias_frequency(clock_hz_, in.fs);
-  dsp::add_cosine(out.samples.data(), out.samples.size(), kTwoPi * spur_f / in.fs,
-                  0.0, clock_spur_v_);
+  // The clock spur, added by the recurrence oscillator.
+  dsp::add_cosine(out.samples.data(), out.samples.size(), d.spur_omega, 0.0,
+                  clock_spur_v_);
 }
 
 Signal LowPassFilter::process(const Signal& in) const {

@@ -72,6 +72,18 @@ class LowPassFilter {
   /// process() into a caller-owned buffer (resized; capacity reused).
   void process_into(const Signal& in, Signal& out) const;
 
+  /// What process() runs at rate fs: the biquad sections, the linear
+  /// pass-band gain and the clock spur's phase step per sample. The lane
+  /// walk (path/lanes.h) runs the same design.
+  struct Design {
+    static constexpr std::size_t kMaxSections = 8;
+    Biquad sections[kMaxSections];
+    std::size_t count = 0;
+    double gain = 1.0;
+    double spur_omega = 0.0;
+  };
+  Design design(double fs) const;
+
   /// Small-signal magnitude response at frequency f for rate fs (includes
   /// the pass-band gain): one LpfResponse designed for this call. Repeated
   /// evaluations at one rate should hold an LpfResponse instead.

@@ -32,22 +32,26 @@ Mixer Mixer::sampled(const MixerParams& p, stats::Rng& rng) {
   return Mixer(conv_gain_db, iip3_dbm, p1db_in_dbm, lo_isolation_db, nf_db);
 }
 
+Mixer::Coeffs Mixer::coeffs(double fs) const {
+  // A multiplicative mixer with a unit-amplitude LO halves the signal
+  // amplitude in each sideband; fold the factor 2 into the port gain so the
+  // *down-converted* tone sees the specified conversion gain.
+  Coeffs k;
+  k.a1 = 2.0 * amplitude_ratio_from_db(conv_gain_db_);
+  k.c3 = c3_from_iip3(vpeak_from_dbm(iip3_dbm_));
+  k.vsat = 2.0 * vsat_from_p1db(vpeak_from_dbm(p1db_in_dbm_),
+                                amplitude_ratio_from_db(conv_gain_db_));
+  k.leak = amplitude_ratio_from_db(-lo_isolation_db_);
+  k.noise_sigma = noise_vrms_from_nf(nf_db_, fs);
+  return k;
+}
+
 void Mixer::process_into(const Signal& rf, const Signal& lo, stats::Rng& noise_rng,
                          Signal& out) const {
   MSTS_REQUIRE(rf.fs > 0.0 && rf.fs == lo.fs, "RF and LO rates must match");
   MSTS_REQUIRE(rf.size() == lo.size(), "RF and LO lengths must match");
   MSTS_REQUIRE(&out != &rf && &out != &lo, "output must not alias an input");
-
-  // A multiplicative mixer with a unit-amplitude LO halves the signal
-  // amplitude in each sideband; fold the factor 2 into the port gain so the
-  // *down-converted* tone sees the specified conversion gain.
-  const double a1 = 2.0 * amplitude_ratio_from_db(conv_gain_db_);
-  const double c3 = c3_from_iip3(vpeak_from_dbm(iip3_dbm_));
-  const double vsat =
-      2.0 * vsat_from_p1db(vpeak_from_dbm(p1db_in_dbm_),
-                           amplitude_ratio_from_db(conv_gain_db_));
-  const double leak = amplitude_ratio_from_db(-lo_isolation_db_);
-  const double noise_sigma = noise_vrms_from_nf(nf_db_, rf.fs);
+  const Coeffs k = coeffs(rf.fs);
 
   out.fs = rf.fs;
   out.samples.resize(rf.size());
@@ -56,12 +60,7 @@ void Mixer::process_into(const Signal& rf, const Signal& lo, stats::Rng& noise_r
   const double* rfp = rf.samples.data();
   const double* lop = lo.samples.data();
   double* dst = out.samples.data();
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double x = rfp[i] + noise_sigma * dst[i];
-    // RF-port nonlinearity, then multiplication, then LO feedthrough.
-    const double distorted = apply_nonlinearity(x, a1, 0.0, c3, vsat);
-    dst[i] = distorted * lop[i] + leak * lop[i];
-  }
+  for (std::size_t i = 0; i < rf.size(); ++i) dst[i] = apply(k, rfp[i], dst[i], lop[i]);
 }
 
 Signal Mixer::process(const Signal& rf, const Signal& lo, stats::Rng& noise_rng) const {

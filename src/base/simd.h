@@ -19,7 +19,10 @@
 //    scalar backend;
 //  * add_cosine keeps the kResyncPeriod double-double carrier contract at
 //    every lane width, so the 1e-12 / 1M-sample oscillator drift bound holds
-//    on all backends.
+//    on all backends;
+//  * the lane kernels (lo_lanes, lpf_lanes, draw_pairs) are bit-identical,
+//    lane by lane, to the one-device code on the same backend (the
+//    path_lanes_vs_one_device pair).
 //
 // The scalar backend reproduces the pre-SIMD arithmetic bit for bit, so
 // MSTS_SIMD=scalar is both the portability fallback and the golden reference.
@@ -28,12 +31,38 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "base/chains.h"
+
 namespace msts::simd {
 
 /// Steps between double-double carrier resyncs of the recurrence-oscillator
 /// lanes (the add_cosine kernel). dsp::kResyncPeriod aliases this so every
 /// backend and the public oscillator API share one drift contract.
-inline constexpr std::size_t kCosineResyncPeriod = 512;
+inline constexpr std::size_t kCosineResyncPeriod = base::kPhasorResyncPeriod;
+
+/// Devices a lane kernel runs side by side. Lane records are interleaved
+/// sample by sample: x[i * kLanes + l] is sample i of lane l.
+inline constexpr std::size_t kLanes = 4;
+
+/// State of kLanes jittered LOs for Kernels::lo_lanes. Lane l runs only
+/// when bit l of `active` is set; the kernel leaves other lanes' samples
+/// as it found them.
+struct LoLanes {
+  base::PhasorState osc[kLanes];  ///< All lanes share since_sync.
+  double phase_noise[kLanes] = {};  ///< Walk step sigma (radians).
+  double amplitude[kLanes] = {};
+  unsigned active = 0;
+};
+
+/// A biquad cascade and gain per lane for Kernels::lpf_lanes.
+struct LpfLanes {
+  static constexpr std::size_t kMaxSections = 8;
+  std::size_t sections = 0;
+  double b0[kMaxSections][kLanes] = {}, b1[kMaxSections][kLanes] = {},
+         b2[kMaxSections][kLanes] = {};
+  double a1[kMaxSections][kLanes] = {}, a2[kMaxSections][kLanes] = {};
+  double gain[kLanes] = {};
+};
 
 /// Backends the dispatcher can select. kScalar is always compiled; the
 /// others exist when the build enabled them (MSTS_SIMD CMake option) AND the
@@ -107,6 +136,30 @@ struct Kernels {
   void (*fault_eval)(const struct SimOp* ops, std::size_t nops,
                      std::uint64_t* values, const std::uint64_t* and_masks,
                      const std::uint64_t* or_masks, std::size_t words);
+
+  /// Jittered LO chain of kLanes oscillators over n interleaved samples, in
+  /// place: each active lane's walk deviates go in, its carrier samples
+  /// amplitude * Re(phasor) come out, exactly as dsp::PhasorOscillator's
+  /// jitter_cos_next produces them for that lane. Resumable: `lo` carries
+  /// the state from one block to the next.
+  void (*lo_lanes)(LoLanes& lo, double* x, std::size_t n);
+
+  /// Biquad cascade and pass-band gain of kLanes filters over a whole
+  /// interleaved record of n samples, in place, starting from zero state:
+  /// each lane equals analog::LowPassFilter's filtering on this backend
+  /// (the direct form on the scalar backend, biquad_ff's fused feed-forward
+  /// plus the recurrence on the vector backends).
+  void (*lpf_lanes)(const LpfLanes& lpf, double* x, std::size_t n);
+
+  /// Runs the polar method's draw-and-accept loop on `lanes` (<= kLanes)
+  /// xoshiro256++ states side by side until lane l has accepted pairs[l]
+  /// candidates, leaving each state where stats::Rng's scalar loop would.
+  /// With outputs, lane l's k-th accepted pair lands at uv[l][2k], [2k+1]
+  /// and its s = u^2 + v^2 at s[l][k] (a rejected candidate is written to
+  /// the slot the next candidate overwrites); null outputs skip the stores.
+  /// No log or sqrt is evaluated: stats::Rng scales the pairs.
+  void (*draw_pairs)(std::uint64_t (*state)[4], const std::size_t* pairs,
+                     std::size_t lanes, double* const* uv, double* const* s);
 };
 
 /// One evaluated gate for Kernels::fault_eval, emitted in topological order

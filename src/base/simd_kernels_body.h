@@ -21,9 +21,11 @@
 // Rounding contract per kernel:
 //  * apply_window, fir_dot, fault_eval — element-wise products, integer and
 //    logic ops: bit-identical across all backends;
-//  * fft_pass, rfft_combine, biquad_ff — same expression shapes as scalar,
-//    but the per-TU flags may contract mul+add to FMA: few-ulp drift,
-//    bounded by the differential tolerances;
+//  * fft_pass, rfft_combine — same expression shapes as scalar, but the
+//    per-TU flags may contract mul+add to FMA: few-ulp drift, bounded by the
+//    differential tolerances;
+//  * biquad_ff — fused explicitly (base/chains.h), the same rounding under
+//    any contraction setting; few-ulp drift vs the unfused scalar form;
 //  * add_cosine — lane count grows with the width (2 vectors of
 //    MSTS_SIMD_WIDTH), but every lane is reseeded from the shared
 //    double-double carrier (base/dd.h) each kCosineResyncPeriod of its own
@@ -43,6 +45,14 @@
 
 namespace msts::simd {
 namespace MSTS_SIMD_BACKEND_NS {
+
+// The lane kernels, defined by this backend's simd_lanes_<isa>.cpp (built
+// without FP contraction; see base/simd_lanes_body.h).
+void lo_lanes(LoLanes& lo, double* x, std::size_t n);
+void lpf_lanes(const LpfLanes& lpf, double* x, std::size_t n);
+void draw_pairs(std::uint64_t (*state)[4], const std::size_t* pairs, std::size_t lanes,
+                double* const* uv, double* const* s);
+
 namespace {
 
 using base::Dd;
@@ -442,16 +452,17 @@ void add_cosine(double* dst, std::size_t n, double omega, double phase,
 
 void biquad_ff(const double* x, double b0, double b1, double b2, double* out,
                std::size_t n) {
+  // The fused forms of base/chains.h, which the lane kernel shares.
   if (n == 0) return;
-  out[0] = b0 * x[0];
-  if (n > 1) out[1] = b0 * x[1] + b1 * x[0];
+  out[0] = base::biquad_ff_first(x[0], b0);
+  if (n > 1) out[1] = base::biquad_ff_second(x[1], x[0], b0, b1);
   const vd vb0 = splat(b0), vb1 = splat(b1), vb2 = splat(b2);
   std::size_t i = 2;
   for (; i + W <= n; i += W) {
-    storeu(out + i, loadu(x + i) * vb0 + loadu(x + i - 1) * vb1 +
-                        loadu(x + i - 2) * vb2);
+    storeu(out + i, base::biquad_ff_step(loadu(x + i), loadu(x + i - 1),
+                                         loadu(x + i - 2), vb0, vb1, vb2));
   }
-  for (; i < n; ++i) out[i] = b0 * x[i] + b1 * x[i - 1] + b2 * x[i - 2];
+  for (; i < n; ++i) out[i] = base::biquad_ff_step(x[i], x[i - 1], x[i - 2], b0, b1, b2);
 }
 
 std::int64_t fir_dot(const std::int32_t* coeffs, std::size_t taps,
@@ -528,6 +539,9 @@ const Kernels kKernels = {
     biquad_ff,
     fir_dot,
     fault_eval,
+    lo_lanes,
+    lpf_lanes,
+    draw_pairs,
 };
 
 }  // namespace MSTS_SIMD_BACKEND_NS

@@ -19,6 +19,7 @@
 #include "dsp/oscillator.h"
 #include "dsp/tonegen.h"
 #include "dsp/window.h"
+#include "path/lanes.h"
 #include "path/path_graph.h"
 #include "stats/yield.h"
 
@@ -475,6 +476,152 @@ Report check_fill_normal_vs_normal(const RunOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane walk vs one device at a time.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct LanesCase {
+  path::PathConfig cfg;
+  std::size_t lanes = 1;
+  std::size_t digital_record = 64;
+  std::vector<dsp::Tone> rf_tones;
+  // Per lane: enter the transient with a cached deviate (relative to the
+  // other lanes: one vs two extra normal() calls after manufacture), and
+  // run a jitter-free LO.
+  std::vector<bool> cached, quiet_lo;
+  // An amp between the LPF and the ADC: the lanes' last analog record is
+  // then compared whole, not only through the ADC's quantization.
+  bool tail_amp = false;
+};
+
+LanesCase random_lanes_case(stats::Rng& rng) {
+  LanesCase c;
+  c.cfg = random_path_config(rng);
+  // Large walk steps reach unit_phasor's libm branch.
+  c.cfg.lo.phase_noise_rad =
+      stats::Uncertain::from_tolerance(rng.uniform(1e-5, 2e-3), 1e-5);
+  c.lanes = 1 + rng.uniform_int(path::kLanes);
+  // Any digital length: the analog record is a multiple of the decimation
+  // but rarely of the lane walk's draw block.
+  c.digital_record = 24 + rng.uniform_int(600);
+  const double digital_fs = c.cfg.digital_fs();
+  for (std::size_t t = 0; t < 2; ++t) {
+    const double if_freq = dsp::coherent_frequency(
+        digital_fs, c.digital_record, rng.uniform(0.05, 0.3) * digital_fs);
+    c.rf_tones.push_back({c.cfg.lo.freq_hz + if_freq, rng.uniform(0.001, 0.02), 0.0});
+  }
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    c.cached.push_back(rng.uniform_int(2) == 1);
+    c.quiet_lo.push_back(rng.uniform_int(3) == 0);
+  }
+  c.tail_amp = rng.uniform_int(2) == 1;
+  return c;
+}
+
+// The devices of a case, each manufactured from its own stream, and the
+// streams positioned where the transient starts.
+struct LaneDevices {
+  std::vector<path::PathGraph> devices;
+  std::vector<stats::Rng> streams;
+};
+
+LaneDevices make_lane_devices(const LanesCase& c, stats::Rng& rng) {
+  LaneDevices d;
+  d.streams = stats::make_streams(rng, c.lanes);
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    path::PathConfig cfg = c.cfg;
+    if (c.quiet_lo[l]) cfg.lo.phase_noise_rad = stats::Uncertain::exact(0.0);
+    path::PathGraphConfig graph = path::graph_from_config(cfg);
+    if (c.tail_amp) {
+      const auto adc = static_cast<std::ptrdiff_t>(graph.first_index(path::BlockKind::kAdc));
+      graph.blocks.insert(graph.blocks.begin() + adc, path::BlockConfig::make_amp(cfg.amp));
+    }
+    d.devices.push_back(path::PathGraph::sampled(graph, d.streams[l]));
+    // One extra draw leaves the cache in the opposite state to two.
+    for (int k = c.cached[l] ? 1 : 2; k > 0; --k) (void)d.streams[l].normal();
+  }
+  return d;
+}
+
+// One lane's observables: codes, FIR output and the stream after the run
+// (the next normal() returns a cached deviate if one was left).
+void push_lane(std::vector<double>& out, const path::PathGraph::Trace& t,
+               stats::Rng& stream) {
+  for (std::int64_t v : t.adc_codes) out.push_back(static_cast<double>(v));
+  for (std::int64_t v : t.filter_out) out.push_back(static_cast<double>(v));
+  for (int k = 0; k < 3; ++k) push_bits(out, stream.normal());
+  push_bits(out, stream.next_u64());
+}
+
+analog::Signal make_lanes_rf(const LanesCase& c) {
+  analog::Signal rf;
+  rf.fs = c.cfg.analog_fs;
+  rf.samples = dsp::generate_tones(c.rf_tones, 0.0, c.cfg.analog_fs,
+                                   c.digital_record * c.cfg.adc_decimation);
+  return rf;
+}
+
+}  // namespace
+
+Report check_path_lanes_vs_one_device(const RunOptions& opts) {
+  using Case = LanesCase;
+  // One workspace across every case, as a thread's measurements reuse it.
+  auto ws = std::make_shared<path::LaneWorkspace>();
+  return differential<Case>(
+      "path_lanes_vs_one_device",
+      [](stats::Rng& rng) { return random_lanes_case(rng); },
+      [ws](const Case& c, stats::Rng& rng) {
+        LaneDevices d = make_lane_devices(c, rng);
+        std::vector<const path::PathGraph*> devices;
+        std::vector<stats::Rng*> streams;
+        for (std::size_t l = 0; l < c.lanes; ++l) {
+          devices.push_back(&d.devices[l]);
+          streams.push_back(&d.streams[l]);
+        }
+        const analog::Signal rf = make_lanes_rf(c);
+        path::run_lanes(devices, rf, streams, *ws);
+        std::vector<double> out;
+        for (std::size_t l = 0; l < c.lanes; ++l) {
+          push_lane(out, ws->traces[l], d.streams[l]);
+          if (c.tail_amp) {
+            for (std::size_t i = 0; i < rf.size(); ++i) {
+              out.push_back(ws->wave[i * path::kLanes + l]);
+            }
+          }
+        }
+        return out;
+      },
+      [](const Case& c, stats::Rng& rng) {
+        LaneDevices d = make_lane_devices(c, rng);
+        const analog::Signal rf = make_lanes_rf(c);
+        std::vector<double> out;
+        for (std::size_t l = 0; l < c.lanes; ++l) {
+          const path::PathGraph::Trace t = d.devices[l].run(rf, d.streams[l]);
+          push_lane(out, t, d.streams[l]);
+          if (c.tail_amp) {
+            const std::vector<double>& last = t.analog_stages.back().samples;
+            out.insert(out.end(), last.begin(), last.end());
+          }
+        }
+        return out;
+      },
+      [](const Case& c, obs::json::Writer& w) {
+        describe(c.cfg, w);
+        w.kv("lanes", static_cast<std::uint64_t>(c.lanes));
+        w.kv("digital_record", static_cast<std::uint64_t>(c.digital_record));
+        w.key("cached").begin_array();
+        for (const bool b : c.cached) w.value(static_cast<std::uint64_t>(b));
+        w.end_array();
+        w.key("quiet_lo").begin_array();
+        for (const bool b : c.quiet_lo) w.value(static_cast<std::uint64_t>(b));
+        w.end_array();
+        w.kv("tail_amp", static_cast<std::uint64_t>(c.tail_amp));
+      },
+      Tolerance::bit_identical(), opts);
+}
+
+// ---------------------------------------------------------------------------
 // SIMD backend vs forced-scalar pairs. Each reference closure re-runs the
 // identical public API inside simd::ScopedIsa(kScalar); the fast side uses
 // whatever backend the run dispatched to (see kernel_checks.h).
@@ -716,6 +863,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_guard_band_analytic_vs_mc(opts),
       check_closed_form_vs_quadrature(opts),
       check_fill_normal_vs_normal(opts),
+      check_path_lanes_vs_one_device(opts),
       check_simd_window_vs_scalar(opts),
       check_simd_rfft_vs_scalar(opts),
       check_simd_biquad_vs_scalar(opts),

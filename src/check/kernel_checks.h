@@ -18,6 +18,7 @@
 //   closed-form evaluate_test, all  | midpoint quadrature on 200001 points
 //     three error models            |   (check/yield_quadrature.h)
 //   blocked Rng::fill_normal        | n back-to-back Rng::normal() calls
+//   lane walk (path::run_lanes)     | PathGraph::run, one device at a time
 //
 // The Monte-Carlo pair is the independent oracle for the loss integrals:
 // at sharp-error guard-banded thresholds, where the acceptance probability
@@ -25,7 +26,10 @@
 // and the analytic side leaves the sampling band. The quadrature pair pins
 // the closed form far tighter (5e-8) at thresholds on and off the spec.
 // The fill pair compares bit patterns, the generator's state after the fill
-// included, at lengths around the fill's internal block.
+// included, at lengths around the fill's internal block. The lanes pair
+// does the same for 1..kLanes random devices per batch: codes, FIR output
+// and each lane's stream after the run, with streams entering with and
+// without a cached deviate and lanes whose LO draws no walk.
 #pragma once
 
 #include <vector>
@@ -42,6 +46,7 @@ Report check_parallel_mc_vs_serial(const RunOptions& opts = {});
 Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
 Report check_closed_form_vs_quadrature(const RunOptions& opts = {});
 Report check_fill_normal_vs_normal(const RunOptions& opts = {});
+Report check_path_lanes_vs_one_device(const RunOptions& opts = {});
 
 // SIMD backend vs forced-scalar pairs (base/simd.h). The reference side runs
 // the SAME public API under simd::ScopedIsa(kScalar) — the scalar backend is

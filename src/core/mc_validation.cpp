@@ -1,5 +1,6 @@
 #include "core/mc_validation.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "core/translation.h"
 #include "obs/registry.h"
 #include "obs/span.h"
+#include "path/lanes.h"
 #include "stats/parallel.h"
 
 namespace msts::core {
@@ -44,27 +46,51 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
     bool is_good = false;
     bool accepted = false;
   };
-  std::vector<TrialRecord> records(static_cast<std::size_t>(trials));
-  const std::vector<stats::Rng> streams =
-      stats::make_streams(rng.split(), static_cast<std::size_t>(trials));
+  const auto n = static_cast<std::size_t>(trials);
+  std::vector<TrialRecord> records(n);
+  const std::vector<stats::Rng> streams = stats::make_streams(rng.split(), n);
 
-  stats::parallel_for_index(static_cast<std::size_t>(trials), threads, [&](std::size_t t) {
-    stats::Rng trial_rng = streams[t];
-    const double true_iip3 = trial_rng.uniform(lo, hi);
+  // The trials run in contiguous groups, two per scheduler runner (its
+  // workers and the joining caller): a group manufactures its devices, then
+  // measures them with the translator's lane form, path::kLanes at a time.
+  // Lanes are bit-identical to one device at a time, so the grouping only
+  // balances the work: equal groups keep every runner busy to the end, and
+  // two per runner still balance when the runners outnumber the cores.
+  const int resolved = stats::resolve_threads(threads);
+  const std::size_t runners = resolved > 1 ? static_cast<std::size_t>(resolved) + 1 : 1;
+  const std::size_t groups = std::min(2 * runners, (n + path::kLanes - 1) / path::kLanes);
+  stats::parallel_for_index(groups, threads, [&](std::size_t g) {
+    const std::size_t begin = n * g / groups;
+    const std::size_t count = n * (g + 1) / groups - begin;
+    std::vector<stats::Rng> trial_rngs(streams.begin() + static_cast<std::ptrdiff_t>(begin),
+                                       streams.begin() +
+                                           static_cast<std::ptrdiff_t>(begin + count));
+    std::vector<double> true_iip3(count);
+    std::vector<path::PathGraph> devices;
+    devices.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      true_iip3[i] = trial_rngs[i].uniform(lo, hi);
+      path::PathConfig instance_cfg = config;
+      instance_cfg.mixer.iip3_dbm = stats::Uncertain::exact(true_iip3[i]);
+      devices.push_back(path::PathGraph::sampled(instance_cfg, trial_rngs[i]));
+    }
+    std::vector<const path::PathGraph*> device_ptrs(count);
+    std::vector<stats::Rng*> rng_ptrs(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      device_ptrs[i] = &devices[i];
+      rng_ptrs[i] = &trial_rngs[i];
+    }
+    std::vector<double> measured(count);
+    translator.measure_mixer_iip3_dbm(device_ptrs, rng_ptrs, adaptive, measured, opts);
 
-    path::PathConfig instance_cfg = config;
-    instance_cfg.mixer.iip3_dbm = stats::Uncertain::exact(true_iip3);
-    const auto device = path::PathGraph::sampled(instance_cfg, trial_rng);
-
-    const double measured =
-        translator.measure_mixer_iip3_dbm(device, trial_rng, adaptive, opts);
-
-    TrialRecord r;
-    r.weight = study.population.pdf(true_iip3);
-    r.abs_err = std::abs(measured - true_iip3);
-    r.is_good = study.spec.passes(true_iip3);
-    r.accepted = threshold.passes(measured);
-    records[t] = r;
+    for (std::size_t i = 0; i < count; ++i) {
+      TrialRecord r;
+      r.weight = study.population.pdf(true_iip3[i]);
+      r.abs_err = std::abs(measured[i] - true_iip3[i]);
+      r.is_good = study.spec.passes(true_iip3[i]);
+      r.accepted = threshold.passes(measured[i]);
+      records[begin + i] = r;
+    }
   });
 
   double w_good_reject = 0.0;

@@ -35,7 +35,8 @@ struct McValidation {
 /// Trials run in parallel, one long_jump-derived RNG stream per trial and a
 /// serial trial-order reduction, so the result is bit-identical for every
 /// thread count (`threads` > 0 forces a count; 0 defers to MSTS_THREADS /
-/// hardware concurrency).
+/// hardware concurrency). Each thread measures its share of the devices
+/// path::kLanes at a time (path/lanes.h), bit-identical to one at a time.
 McValidation validate_iip3_study_mc(const path::PathConfig& config,
                                     const ParameterStudy& study, int trials,
                                     stats::Rng& rng, bool adaptive = true,

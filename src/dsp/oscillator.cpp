@@ -8,28 +8,7 @@
 
 namespace msts::dsp {
 
-// The double-double carrier-phase arithmetic lives in base/dd.h (shared with
-// the SIMD add_cosine backends); see that header for the error analysis.
-using base::dd_add;
-using base::reduce_two_pi;
-
-PhasorOscillator::PhasorOscillator(double omega, double phase)
-    : omega_(omega),
-      phase_(phase),
-      extra_phase_(0.0),
-      phasor_(std::cos(phase), std::sin(phase)),
-      rot_(std::cos(omega), std::sin(omega)) {
-  // kResyncPeriod is a power of two, so omega * kResyncPeriod is exact; the
-  // one-time reduction leaves step_ accurate to the double-double level.
-  step_ = reduce_two_pi({omega * static_cast<double>(kResyncPeriod), 0.0});
-}
-
-void PhasorOscillator::resync() {
-  carrier_ = dd_add(carrier_, step_);
-  const double ph = carrier_.hi + (carrier_.lo + phase_ + extra_phase_);
-  phasor_ = std::complex<double>(std::cos(ph), std::sin(ph));
-  since_sync_ = 0;
-}
+void PhasorOscillator::resync() { base::phasor_resync(s_); }
 
 void add_cosine(double* dst, std::size_t n, double omega, double phase, double amp) {
   // Dispatched per ISA: the scalar backend is the pre-SIMD four-phasor

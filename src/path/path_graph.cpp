@@ -412,6 +412,7 @@ const PathGraph::Trace& PathGraph::run(const analog::Signal& rf,
                     t.analog_stages.front().samples.capacity() >= rf.size();
   obs::counter_add(warm ? "path.graph.workspace.reuse"
                         : "path.graph.workspace.grow");
+  obs::counter_add("path.run.analog_samples", rf.size());
   t.analog_stages.resize(adc_index_);
 
   // Noise draws follow the stage order; a mixer stage generates its LO

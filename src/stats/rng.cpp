@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "base/require.h"
+#include "base/simd.h"
+
 namespace msts::stats {
 
 namespace {
@@ -48,6 +51,79 @@ void Rng::fill_normal(std::span<double> out) {
     i += 2 * pairs;
   }
   if (i < out.size()) out[i] = normal();
+}
+
+void Rng::normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::size_t n) {
+  // Per lane exactly fill_normal's steps: the cached deviate, whole pairs a
+  // block at a time (drawn side by side, then scaled lane by lane), and an
+  // odd deviate from normal().
+  constexpr std::size_t L = simd::kLanes;
+  constexpr std::size_t kPairs = kFillBlock / 2;
+  const simd::Kernels& kern = simd::kernels();
+  for (std::size_t first = 0; first < rngs.size(); first += L) {
+    const std::size_t lanes = std::min(L, rngs.size() - first);
+    Rng* r[L];
+    double* out[L] = {};
+    std::size_t next[L], left[L];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      r[l] = rngs[first + l];
+      if (outs != nullptr) out[l] = outs[first + l];
+      next[l] = 0;
+      if (n > 0 && r[l]->has_cached_normal_) {
+        r[l]->has_cached_normal_ = false;
+        if (out[l] != nullptr) out[l][0] = r[l]->cached_normal_;
+        next[l] = 1;
+      }
+      left[l] = (n - next[l]) / 2;
+    }
+    double s_block[L][kPairs];
+    for (;;) {
+      std::uint64_t state[L][4];
+      std::size_t pairs[L];
+      double* uv[L];
+      double* s[L];
+      bool any = false;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        // A skip stores nothing, so it needs no block bound.
+        pairs[l] = outs != nullptr ? std::min(left[l], kPairs) : left[l];
+        any = any || pairs[l] > 0;
+        std::copy(r[l]->s_, r[l]->s_ + 4, state[l]);
+        uv[l] = out[l] != nullptr ? out[l] + next[l] : nullptr;
+        s[l] = s_block[l];
+      }
+      if (!any) break;
+      kern.draw_pairs(state, pairs, lanes, outs != nullptr ? uv : nullptr,
+                      outs != nullptr ? s : nullptr);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        std::copy(state[l], state[l] + 4, r[l]->s_);
+        if (out[l] != nullptr) {
+          for (std::size_t p = 0; p < pairs[l]; ++p) {
+            const double m = polar_scale(s_block[l][p]);
+            uv[l][2 * p] *= m;
+            uv[l][2 * p + 1] *= m;
+          }
+        }
+        next[l] += 2 * pairs[l];
+        left[l] -= pairs[l];
+      }
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (next[l] < n) {
+        const double d = r[l]->normal();
+        if (out[l] != nullptr) out[l][next[l]] = d;
+      }
+    }
+  }
+}
+
+void Rng::fill_normal_lanes(std::span<Rng* const> rngs, std::span<double* const> outs,
+                            std::size_t n) {
+  MSTS_REQUIRE(outs.size() == rngs.size(), "one output per generator");
+  normal_lanes(rngs, outs.data(), n);
+}
+
+void Rng::skip_normal_lanes(std::span<Rng* const> rngs, std::size_t n) {
+  normal_lanes(rngs, nullptr, n);
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t bound) {

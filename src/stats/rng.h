@@ -11,10 +11,13 @@
 // which returns exactly what per-sample normal() calls would.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+
+#include "base/chains.h"
 
 namespace msts::stats {
 
@@ -25,22 +28,12 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-  }
+  std::uint64_t next_u64() { return base::xoshiro_next(s_[0], s_[1], s_[2], s_[3]); }
 
   /// Uniform double in [0, 1).
   double uniform() {
     // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+    return base::unit_from_bits<double>(next_u64());
   }
 
   /// Uniform double in [lo, hi).
@@ -78,6 +71,31 @@ class Rng {
   /// Deviates per fill_normal() block.
   static constexpr std::size_t kFillBlock = 512;
 
+  /// fill_normal of outs[l] (n deviates each) from *rngs[l] for every l,
+  /// simd::kLanes generators at a time with their draw-and-accept loops
+  /// side by side (Kernels::draw_pairs): each output and generator end
+  /// exactly as the generator's own fill_normal would leave them.
+  static void fill_normal_lanes(std::span<Rng* const> rngs, std::span<double* const> outs,
+                                std::size_t n);
+
+  /// Leaves every generator of `rngs`, cached deviate included, where n
+  /// back-to-back normal() calls would, without producing the deviates:
+  /// whole pairs run only the draw-and-accept loop (side by side, as
+  /// above), so no log or sqrt is evaluated unless an odd count leaves a
+  /// pair partner to cache. The lane walk starts a later stage's stream
+  /// cursor with it before the earlier stage has drawn.
+  static void skip_normal_lanes(std::span<Rng* const> rngs, std::size_t n);
+
+  /// Same position in the same sequence, and the same cached deviate (bit
+  /// for bit) when one is cached. A consumed cache's stale value is not
+  /// part of the state.
+  bool operator==(const Rng& other) const {
+    return s_[0] == other.s_[0] && s_[1] == other.s_[1] && s_[2] == other.s_[2] &&
+           s_[3] == other.s_[3] && has_cached_normal_ == other.has_cached_normal_ &&
+           (!has_cached_normal_ || std::bit_cast<std::uint64_t>(cached_normal_) ==
+                                       std::bit_cast<std::uint64_t>(other.cached_normal_));
+  }
+
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double sigma) { return mean + sigma * normal(); }
 
@@ -101,10 +119,6 @@ class Rng {
   Rng split();
 
  private:
-  static std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
   // The polar method in three steps, shared by normal() and fill_normal()
   // so both evaluate the same expressions. polar_draw() draws one candidate
   // (u, v) uniform on the square [-1, 1)^2 and returns s = u^2 + v^2;
@@ -112,14 +126,18 @@ class Rng {
   // origin; an accepted pair maps to the deviates u*m and v*m with
   // m = polar_scale(s).
   double polar_draw(double& u, double& v) {
-    u = 2.0 * uniform() - 1.0;
-    v = 2.0 * uniform() - 1.0;
-    return u * u + v * v;
+    // Named locals sequence the draws: u's uniform first.
+    const double unit_u = uniform();
+    const double unit_v = uniform();
+    return base::polar_candidate(unit_u, unit_v, u, v);
   }
   static bool polar_accepts(double s) { return s < 1.0 && s != 0.0; }
   static double polar_scale(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
   void apply_jump_poly(const std::uint64_t (&poly)[4]);
+
+  // The lane forms above: outs == nullptr skips.
+  static void normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::size_t n);
 
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;

@@ -1,9 +1,11 @@
 // Tests for the analog behavioral blocks (analog/*): each block's simulated
 // waveform must exhibit the datasheet parameter it was configured with.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -346,6 +348,71 @@ TEST(NoiseHelpers, ScaleWithBandAndNf) {
               1e-9);
   EXPECT_GT(source_noise_vrms(kFs), 0.0);
   EXPECT_THROW(noise_vrms_from_nf(-1.0, kFs), std::invalid_argument);
+}
+
+TEST(AdcBow, SharedAcrossThreadsMatchesPerCodeConstruction) {
+  // The INL bow is computed once per resolution and shared. Four threads
+  // build converters of several resolutions at once (in different orders,
+  // so first builds race); every table must equal the per-code
+  // construction: walk += dnl * normal() / sqrt(codes), bow + walk, then
+  // re-centred. Resolutions no other test in this binary builds.
+  const int resolutions[] = {5, 7, 9, 11, 13};
+  AdcParams params;
+  auto expected = [&](int bits) {
+    const std::size_t codes = std::size_t{1} << bits;
+    stats::Rng pattern(12345);  // the nominal instance's pattern seed
+    std::vector<double> t(codes);
+    double walk = 0.0;
+    for (std::size_t c = 0; c < codes; ++c) {
+      const double u =
+          2.0 * static_cast<double>(c) / static_cast<double>(codes - 1) - 1.0;
+      walk += params.dnl_sigma_lsb.nominal * pattern.normal() /
+              std::sqrt(static_cast<double>(codes));
+      t[c] = params.inl_peak_lsb.nominal * std::sin(kPi * u) + walk;
+    }
+    double mean = 0.0;
+    for (double v : t) mean += v;
+    mean /= static_cast<double>(codes);
+    for (double& v : t) v -= mean;
+    return t;
+  };
+  // Code c's INL, read at a position that lands mid-code.
+  auto table_of = [](const Adc& adc) {
+    const std::size_t codes = std::size_t{1} << adc.bits();
+    std::vector<double> t(codes);
+    for (std::size_t c = 0; c < codes; ++c) {
+      const double u = c + 1 < codes ? (2.0 * static_cast<double>(c) + 1.0) /
+                                               static_cast<double>(codes - 1) -
+                                           1.0
+                                     : 1.0;
+      t[c] = adc.inl_at(u);
+    }
+    return t;
+  };
+  std::vector<std::vector<std::vector<double>>> built(4);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < 4; ++k) {
+    threads.emplace_back([&, k] {
+      for (std::size_t i = 0; i < 5; ++i) {
+        AdcParams p = params;
+        p.bits = resolutions[(i + k) % 5];
+        built[k].push_back(table_of(Adc(p)));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t i = 0; i < 5; ++i) {
+      const int bits = resolutions[(i + k) % 5];
+      const std::vector<double> want = expected(bits);
+      ASSERT_EQ(built[k][i].size(), want.size());
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(built[k][i][c]),
+                  std::bit_cast<std::uint64_t>(want[c]))
+            << bits << " bits, code " << c << ", thread " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -325,6 +325,14 @@ TEST(KernelChecks, FillNormalMatchesRepeatedNormal) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
+TEST(KernelChecks, LaneWalkBitIdenticalToOneDevice) {
+  const check::Report r = check::check_path_lanes_vs_one_device();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.cases, 24);
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(YieldQuadrature, RejectsBadArguments) {
   const stats::Normal ok{0.0, 1.0};
   const auto spec = stats::SpecLimits::at_least(0.0);
@@ -373,9 +381,9 @@ TEST(KernelChecks, SimdFaultSimBitIdenticalAcrossWidths) {
 
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all thirteen pairs
+  opts.cases = 2;  // smoke pass over all fourteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 13u);
+  ASSERT_EQ(reports.size(), 14u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

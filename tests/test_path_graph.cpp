@@ -7,16 +7,22 @@
 #include "path/path_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analog/sigma_delta.h"
 #include "core/translation.h"
 #include "dsp/tonegen.h"
+#include "obs/config.h"
+#include "obs/registry.h"
+#include "path/lanes.h"
 #include "path/receiver_path.h"
 #include "stats/monte_carlo.h"
 
@@ -487,6 +493,114 @@ TEST(DrawOrder, BlocksDrawFieldsInDeclarationOrder) {
     (void)stats::sample(p.integrator_leak, by_hand);  // no accessor
     EXPECT_EQ(m.actual_dac_mismatch_v(), stats::sample(p.dac_mismatch_v, by_hand));
     expect_same_stream(rng, by_hand);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lane walk (path/lanes.h)
+// ---------------------------------------------------------------------------
+
+TEST(PathLanes, CountsKTimesOneDeviceSamples) {
+  // path.run.analog_samples counts the analog samples a walk generates, so
+  // a kLanes batch reads exactly kLanes one-device runs: any saving in a
+  // traced run is then time at a work ratio of exactly 1.
+  const obs::Config prior = obs::current_config();
+  obs::Config cfg;
+  cfg.metrics = true;
+  obs::configure(cfg);
+  const PathConfig config = reference_path_config();
+  analog::Signal rf;
+  rf.fs = config.analog_fs;
+  rf.samples.assign(4096, 0.0);
+  stats::Rng rng(3);
+  std::vector<PathGraph> devices;
+  for (std::size_t l = 0; l < kLanes; ++l) devices.push_back(PathGraph::sampled(config, rng));
+  auto samples = [] {
+    std::uint64_t n = 0, lane_spans = 0;
+    for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
+      if (m.name == "path.run.analog_samples") n = m.count;
+      if (m.name == "path.run_lanes") lane_spans = m.count;
+    }
+    return std::pair{n, lane_spans};
+  };
+  obs::Registry::instance().reset();
+  (void)devices[0].run(rf, rng);
+  const auto one = samples();
+  obs::Registry::instance().reset();
+  std::vector<const PathGraph*> ptrs;
+  std::vector<stats::Rng> streams(kLanes, rng);
+  std::vector<stats::Rng*> rngs;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    ptrs.push_back(&devices[l]);
+    rngs.push_back(&streams[l]);
+  }
+  LaneWorkspace ws;
+  run_lanes(ptrs, rf, rngs, ws);
+  const auto lanes = samples();
+  obs::Registry::instance().reset();
+  obs::configure(prior);
+  EXPECT_EQ(one.first, rf.size());
+  EXPECT_EQ(lanes.first, kLanes * one.first);
+  EXPECT_EQ(lanes.second, 1u);
+}
+
+TEST(PathLanes, RejectsMixedStructuresAndBadBatches) {
+  const PathConfig config = reference_path_config();
+  PathConfig order6 = config;
+  order6.lpf.order = 6;
+  stats::Rng rng(4);
+  const PathGraph a = PathGraph::sampled(config, rng);
+  const PathGraph b = PathGraph::sampled(order6, rng);
+  analog::Signal rf;
+  rf.fs = config.analog_fs;
+  rf.samples.assign(256, 0.0);
+  stats::Rng r0(1), r1(2);
+  std::vector<stats::Rng*> two = {&r0, &r1};
+  LaneWorkspace ws;
+  const std::vector<const PathGraph*> mixed = {&a, &b};
+  EXPECT_THROW(run_lanes(mixed, rf, two, ws), std::invalid_argument);
+  const std::vector<const PathGraph*> one = {&a};
+  EXPECT_THROW(run_lanes(one, rf, two, ws), std::invalid_argument);
+  const std::vector<const PathGraph*> too_many(kLanes + 1, &a);
+  std::vector<stats::Rng> streams(kLanes + 1, r0);
+  std::vector<stats::Rng*> many;
+  for (stats::Rng& r : streams) many.push_back(&r);
+  EXPECT_THROW(run_lanes(too_many, rf, many, ws), std::invalid_argument);
+}
+
+TEST(PathLanes, TranslatedIip3MatchesOneDeviceAtATime) {
+  // Six devices (a full batch and a partial one), adaptive and nominal:
+  // each lane's measurement and its stream afterwards equal the one-device
+  // call's, bit for bit.
+  const PathConfig config = reference_path_config();
+  const core::Translator translator(config);
+  MeasureOptions opts;
+  opts.digital_record = 512;
+  for (const bool adaptive : {true, false}) {
+    stats::Rng make(11);
+    std::vector<PathGraph> devices;
+    std::vector<stats::Rng> lane_rngs, one_rngs;
+    for (int d = 0; d < 6; ++d) {
+      stats::Rng r = make.split();
+      devices.push_back(PathGraph::sampled(config, r));
+      lane_rngs.push_back(r);
+      one_rngs.push_back(r);
+    }
+    std::vector<const PathGraph*> ptrs;
+    std::vector<stats::Rng*> rngs;
+    for (int d = 0; d < 6; ++d) {
+      ptrs.push_back(&devices[d]);
+      rngs.push_back(&lane_rngs[d]);
+    }
+    std::vector<double> lanes(6);
+    translator.measure_mixer_iip3_dbm(ptrs, rngs, adaptive, lanes, opts);
+    for (int d = 0; d < 6; ++d) {
+      const double one =
+          translator.measure_mixer_iip3_dbm(devices[d], one_rngs[d], adaptive, opts);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(lanes[d]), std::bit_cast<std::uint64_t>(one))
+          << "device " << d << (adaptive ? " adaptive" : " nominal");
+      EXPECT_TRUE(lane_rngs[d] == one_rngs[d]) << "device " << d;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the deterministic PRNG (stats/rng.h).
 #include "stats/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -180,6 +181,81 @@ TEST(Rng, JumpDropsTheCachedNormal) {
   Rng cached_child = cached2.split();
   Rng plain_child = plain2.split();
   EXPECT_EQ(cached_child.normal(), plain_child.normal());
+}
+
+TEST(Rng, SkipNormalLandsWhereRepeatedNormalDoes) {
+  // From both entry states (no cached deviate, one cached) and at even and
+  // odd counts, a one-generator skip_normal_lanes(n) leaves the generator,
+  // cached deviate included, exactly where n normal() calls do.
+  for (const std::size_t n : {0, 1, 2, 3, 1000, 1001, 32768}) {
+    for (const bool cached : {false, true}) {
+      Rng a(n + 17), b(n + 17);
+      if (cached) {
+        (void)a.normal();
+        (void)b.normal();
+      }
+      for (std::size_t i = 0; i < n; ++i) (void)a.normal();
+      Rng* one[] = {&b};
+      Rng::skip_normal_lanes(one, n);
+      EXPECT_TRUE(a == b) << "n=" << n << " cached=" << cached;
+      EXPECT_EQ(a.normal(), b.normal());
+      EXPECT_EQ(a.next_u64(), b.next_u64());
+    }
+  }
+}
+
+TEST(Rng, FillNormalLanesMatchesFillNormal) {
+  // Five generators (a full batch and one more), mixed entry states, at
+  // lengths around the fill block: outputs and end states match each
+  // generator's own fill_normal bit for bit.
+  for (const std::size_t n : {0, 1, 2, 511, 512, 513, 1025, 4096}) {
+    std::vector<Rng> lanes, alone;
+    for (std::size_t l = 0; l < 5; ++l) {
+      Rng r(1000 * n + l);
+      if (l % 2 == 0) (void)r.normal();
+      lanes.push_back(r);
+      alone.push_back(r);
+    }
+    std::vector<std::vector<double>> out(5, std::vector<double>(n, -1.0));
+    std::vector<Rng*> ptrs;
+    std::vector<double*> outs;
+    for (std::size_t l = 0; l < 5; ++l) {
+      ptrs.push_back(&lanes[l]);
+      outs.push_back(out[l].data());
+    }
+    Rng::fill_normal_lanes(ptrs, outs, n);
+    for (std::size_t l = 0; l < 5; ++l) {
+      std::vector<double> want(n);
+      alone[l].fill_normal(want);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[l][i]), std::bit_cast<std::uint64_t>(want[i]))
+            << "n=" << n << " lane " << l << " deviate " << i;
+      }
+      EXPECT_TRUE(lanes[l] == alone[l]) << "n=" << n << " lane " << l;
+      EXPECT_EQ(lanes[l].normal(), alone[l].normal());
+    }
+  }
+}
+
+TEST(Rng, SkipNormalLanesMatchesRepeatedNormal) {
+  // Five generators (a full batch and one more), mixed entry states.
+  for (const std::size_t n : {1, 2, 777, 4096}) {
+    std::vector<Rng> lanes, alone;
+    for (std::size_t l = 0; l < 5; ++l) {
+      Rng r(100 * n + l);
+      if (l % 2 == 1) (void)r.normal();
+      lanes.push_back(r);
+      alone.push_back(r);
+    }
+    std::vector<Rng*> ptrs;
+    for (Rng& r : lanes) ptrs.push_back(&r);
+    Rng::skip_normal_lanes(ptrs, n);
+    for (std::size_t l = 0; l < 5; ++l) {
+      for (std::size_t i = 0; i < n; ++i) (void)alone[l].normal();
+      EXPECT_TRUE(lanes[l] == alone[l]) << "n=" << n << " lane " << l;
+      EXPECT_EQ(lanes[l].normal(), alone[l].normal());
+    }
+  }
 }
 
 }  // namespace
