@@ -1,10 +1,13 @@
 // Tests for digital-filter test synthesis (core/digital_test.h).
 #include "core/digital_test.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "base/simd.h"
 #include "base/units.h"
 
 namespace msts::core {
@@ -37,6 +40,47 @@ TEST(DigitalTester, PlanPlacesCleanInBandTones) {
   }
   EXPECT_EQ(plan.mask_power_db.size(), opt.record / 2 + 1);
   EXPECT_EQ(plan.excluded.size(), opt.record / 2 + 1);
+}
+
+TEST(DigitalTester, CanonicalPlanIsPinned) {
+  // Every field of the canonical plan by bit pattern, at the two records of
+  // the sec. 5 campaigns. `plan` folds the tone placement, the RF stimulus
+  // referred back through the attribute model, the propagated SNR / SFDR and
+  // the excluded bins; `mask` folds the detection mask, which carries the
+  // good-circuit spectrum and so the FFT backend's last-ulp rounding.
+  auto fold = [](std::uint64_t& h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::uint64_t plan_h = 0xcbf29ce484222325ull;
+  std::uint64_t mask_h = 0xcbf29ce484222325ull;
+  const DigitalTester tester(cfg());
+  for (const std::size_t record : {std::size_t{512}, std::size_t{8192}}) {
+    DigitalTestOptions opt;
+    opt.record = record;
+    const auto plan = tester.plan(opt);
+    for (const double f : plan.if_freqs) fold(plan_h, bits(f));
+    for (const dsp::Tone& t : plan.rf_tones) {
+      fold(plan_h, bits(t.freq));
+      fold(plan_h, bits(t.amplitude));
+      fold(plan_h, bits(t.phase));
+    }
+    fold(plan_h, bits(plan.per_tone_adc_vpeak));
+    fold(plan_h, bits(plan.expected_filter_in_snr_db));
+    fold(plan_h, bits(plan.expected_filter_in_sfdr_db));
+    for (const bool e : plan.excluded) fold(plan_h, e ? 1 : 0);
+    for (const double m : plan.mask_power_db) fold(mask_h, bits(m));
+  }
+  EXPECT_EQ(plan_h, 0x464189d3248d270bull);
+  switch (simd::kernels().isa) {
+    case simd::Isa::kScalar: EXPECT_EQ(mask_h, 0x4f844e195b047d89ull); break;
+    case simd::Isa::kAvx2: EXPECT_EQ(mask_h, 0x1c0849ea7b6294b5ull); break;
+    case simd::Isa::kAvx512: EXPECT_EQ(mask_h, 0xc3d4ca22790f3cf2ull); break;
+    case simd::Isa::kNeon: break;  // No mask literal recorded on NEON.
+  }
 }
 
 TEST(DigitalTester, PlanReportsPropagatedSignalQuality) {
