@@ -532,7 +532,7 @@ LaneDevices make_lane_devices(const LanesCase& c, stats::Rng& rng) {
   for (std::size_t l = 0; l < c.lanes; ++l) {
     path::PathConfig cfg = c.cfg;
     if (c.quiet_lo[l]) cfg.lo.phase_noise_rad = stats::Uncertain::exact(0.0);
-    path::PathGraphConfig graph = path::graph_from_config(cfg);
+    path::PathGraphConfig graph(cfg);
     if (c.tail_amp) {
       const auto adc = static_cast<std::ptrdiff_t>(graph.first_index(path::BlockKind::kAdc));
       graph.blocks.insert(graph.blocks.begin() + adc, path::BlockConfig::make_amp(cfg.amp));

@@ -340,9 +340,6 @@ SignalAttributes FirAttrModel::forward(const SignalAttributes& in) const {
 // Path cascade
 // --------------------------------------------------------------------------
 
-PathAttrModel::PathAttrModel(const path::PathConfig& config)
-    : PathAttrModel(path::graph_from_config(config)) {}
-
 PathAttrModel::PathAttrModel(const path::PathGraphConfig& graph) : graph_(graph) {
   path::validate(graph_);
   for (const path::BlockConfig& b : graph_.blocks) {

@@ -110,20 +110,8 @@ class FirAttrModel : public AttrModel {
 /// a PathGraphConfig, cascaded in graph order.
 class PathAttrModel {
  public:
-  /// Block indices of the *canonical* receiver graph (graph_from_config).
-  /// Generic graphs address blocks by position; use num_blocks() for bounds.
-  static constexpr std::size_t kAmp = 0;
-  static constexpr std::size_t kMixer = 1;
-  static constexpr std::size_t kLpf = 2;
-  static constexpr std::size_t kAdc = 3;
-  static constexpr std::size_t kFir = 4;
-  static constexpr std::size_t kNumBlocks = 5;
-
-  /// Canonical chain of a flat config (equivalent to the graph constructor
-  /// on graph_from_config(config)).
-  explicit PathAttrModel(const path::PathConfig& config);
-
-  /// Attribute cascade of an arbitrary (validated) path graph.
+  /// Attribute cascade of a path graph (validated here). Blocks are
+  /// addressed by graph position; use num_blocks() for bounds.
   explicit PathAttrModel(const path::PathGraphConfig& graph);
 
   /// Number of blocks in the cascade.

@@ -60,10 +60,12 @@ struct CampaignResult {
   }
 };
 
-/// Synthesises and executes digital-filter tests for a path configuration.
+/// Synthesises and executes digital-filter tests for a path graph. The
+/// filter under test is the graph's FIR block; the stimulus sits at the
+/// first mixer's LO frequency, inside the first LPF's pass-band.
 class DigitalTester {
  public:
-  explicit DigitalTester(const path::PathConfig& config);
+  explicit DigitalTester(const path::PathGraphConfig& graph);
 
   /// Chooses tone placement and amplitudes, propagates the stimulus through
   /// the attribute model, and derives the detection mask.
@@ -108,10 +110,11 @@ class DigitalTester {
   std::vector<double> output_volts(std::span<const std::int64_t> filter_out) const;
 
   /// Digital (post-decimation) sample rate of the path under test.
-  double digital_fs() const { return config_.digital_fs(); }
+  double digital_fs() const { return graph().digital_fs(); }
 
  private:
-  path::PathConfig config_;
+  const path::PathGraphConfig& graph() const { return model_.graph(); }
+
   PathAttrModel model_;
   digital::FirCircuit fir_;
   digital::Netlist expanded_;

@@ -14,7 +14,7 @@
 
 namespace msts::core {
 
-McValidation validate_iip3_study_mc(const path::PathConfig& config,
+McValidation validate_iip3_study_mc(const path::PathGraphConfig& graph,
                                     const ParameterStudy& study, int trials,
                                     stats::Rng& rng, bool adaptive,
                                     const path::MeasureOptions& opts, int threads) {
@@ -25,7 +25,8 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
 
   // The test program is synthesized once from the *nominal* description —
   // the device under test never informs its own test.
-  const Translator translator(config);
+  const Translator translator(graph);
+  const std::size_t mixer_index = graph.first_index(path::BlockKind::kMixer);
   const auto threshold = study.row("Tol").threshold;
 
   McValidation v;
@@ -70,9 +71,9 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
     devices.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       true_iip3[i] = trial_rngs[i].uniform(lo, hi);
-      path::PathConfig instance_cfg = config;
-      instance_cfg.mixer.iip3_dbm = stats::Uncertain::exact(true_iip3[i]);
-      devices.push_back(path::PathGraph::sampled(instance_cfg, trial_rngs[i]));
+      path::PathGraphConfig instance = graph;
+      instance.blocks[mixer_index].mixer.iip3_dbm = stats::Uncertain::exact(true_iip3[i]);
+      devices.push_back(path::PathGraph::sampled(instance, trial_rngs[i]));
     }
     std::vector<const path::PathGraph*> device_ptrs(count);
     std::vector<stats::Rng*> rng_ptrs(count);

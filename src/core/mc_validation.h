@@ -30,14 +30,15 @@ struct McValidation {
 
 /// Validates the mixer-IIP3 study: `study` supplies the population, spec and
 /// analytic losses; each trial executes Translator::measure_mixer_iip3_dbm
-/// on a freshly manufactured path whose true mixer IIP3 is known.
+/// on a freshly manufactured device of `graph` whose first mixer's true IIP3
+/// is known.
 ///
 /// Trials run in parallel, one long_jump-derived RNG stream per trial and a
 /// serial trial-order reduction, so the result is bit-identical for every
 /// thread count (`threads` > 0 forces a count; 0 defers to MSTS_THREADS /
 /// hardware concurrency). Each thread measures its share of the devices
 /// path::kLanes at a time (path/lanes.h), bit-identical to one at a time.
-McValidation validate_iip3_study_mc(const path::PathConfig& config,
+McValidation validate_iip3_study_mc(const path::PathGraphConfig& graph,
                                     const ParameterStudy& study, int trials,
                                     stats::Rng& rng, bool adaptive = true,
                                     const path::MeasureOptions& opts = {},

@@ -9,10 +9,22 @@
 
 namespace msts::core {
 
-SpecBackpropResult backpropagate_spec(const path::PathConfig& config,
+SpecBackpropResult backpropagate_spec(const path::PathGraphConfig& graph,
                                       const SystemRequirements& req) {
   MSTS_REQUIRE(req.max_path_gain_db > req.min_path_gain_db,
                "gain window must be non-empty");
+  path::validate(graph);
+  using path::BlockKind;
+  const std::size_t adc_index = graph.first_index(BlockKind::kAdc);
+  MSTS_REQUIRE(adc_index == 3 && graph.blocks[0].kind == BlockKind::kAmp &&
+                   graph.blocks[1].kind == BlockKind::kMixer &&
+                   graph.blocks[2].kind == BlockKind::kLpf,
+               "spec back-propagation needs exactly an amp -> mixer -> lpf chain "
+               "in front of the ADC");
+  const analog::AmpParams& amp = graph.blocks[0].amp;
+  const analog::MixerParams& mixer = graph.blocks[1].mixer;
+  const analog::LpfParams& lpf = graph.blocks[2].lpf;
+  const analog::AdcParams& adc = graph.blocks[adc_index].adc;
   SpecBackpropResult out;
 
   // ---- Gain allocation ----------------------------------------------------
@@ -22,9 +34,9 @@ SpecBackpropResult backpropagate_spec(const path::PathConfig& config,
     double tol;
   };
   const GainBlock gains[] = {
-      {"amp", config.amp.gain_db.nominal, config.amp.gain_db.wc},
-      {"mixer", config.mixer.conv_gain_db.nominal, config.mixer.conv_gain_db.wc},
-      {"lpf", config.lpf.passband_gain_db.nominal, config.lpf.passband_gain_db.wc},
+      {"amp", amp.gain_db.nominal, amp.gain_db.wc},
+      {"mixer", mixer.conv_gain_db.nominal, mixer.conv_gain_db.wc},
+      {"lpf", lpf.passband_gain_db.nominal, lpf.passband_gain_db.wc},
   };
   double nominal_sum = 0.0;
   double tol_sum = 0.0;
@@ -41,7 +53,7 @@ SpecBackpropResult backpropagate_spec(const path::PathConfig& config,
 
   // ---- Noise budget ---------------------------------------------------------
   // Input SNR at the reference level over the digital Nyquist band.
-  const double band = config.digital_fs() / 2.0;
+  const double band = graph.digital_fs() / 2.0;
   const double n_src = analog::kBoltzmann * analog::kT0 * band * kRefImpedance;  // V^2
   const double p_in_v2 = std::pow(vrms_from_dbm(req.input_level_dbm), 2.0);
   const double snr_in_db = db_from_power_ratio(p_in_v2 / n_src);
@@ -56,15 +68,15 @@ SpecBackpropResult backpropagate_spec(const path::PathConfig& config,
   // Friis terms with nominal gains. On matched impedances a voltage gain of
   // x dB is a power gain of 10^(x/10).
   auto pgain = [](double vdb) { return std::pow(10.0, vdb / 10.0); };
-  const double gp_amp = pgain(config.amp.gain_db.nominal);
-  const double gp_mix = pgain(config.mixer.conv_gain_db.nominal);
-  const double gp_lpf = pgain(config.lpf.passband_gain_db.nominal);
+  const double gp_amp = pgain(amp.gain_db.nominal);
+  const double gp_mix = pgain(mixer.conv_gain_db.nominal);
+  const double gp_lpf = pgain(lpf.passband_gain_db.nominal);
 
-  const double f_amp_nom = power_ratio_from_db(config.amp.nf_db.nominal);
-  const double f_mix_nom = power_ratio_from_db(config.mixer.nf_db.nominal);
+  const double f_amp_nom = power_ratio_from_db(amp.nf_db.nominal);
+  const double f_mix_nom = power_ratio_from_db(mixer.nf_db.nominal);
 
   // ADC quantisation as an equivalent noise factor at its own input.
-  const double lsb = 2.0 * config.adc.vref / static_cast<double>(1ll << config.adc.bits);
+  const double lsb = 2.0 * adc.vref / static_cast<double>(1ll << adc.bits);
   const double n_q = lsb * lsb / 12.0;
   const double f_adc = 1.0 + n_q / (n_src * gp_amp * gp_mix * gp_lpf);
 

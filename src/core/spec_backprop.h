@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "path/path_config.h"
+#include "path/path_graph.h"
 #include "stats/yield.h"
 
 namespace msts::core {
@@ -48,8 +48,11 @@ struct SpecBackpropResult {
   std::string note;
 };
 
-/// Derives per-block budgets for the reference-path topology.
-SpecBackpropResult backpropagate_spec(const path::PathConfig& config,
+/// Derives per-block budgets for a path whose analog front end is exactly
+/// one amp -> mixer -> lpf chain in front of the ADC (the reference receiver):
+/// the Friis terms are written for that chain. Throws naming the chain on any
+/// other arrangement.
+SpecBackpropResult backpropagate_spec(const path::PathGraphConfig& graph,
                                       const SystemRequirements& req);
 
 /// Renders the result as text.

@@ -11,10 +11,6 @@
 
 namespace msts::core {
 
-TestSynthesizer::TestSynthesizer(const path::PathConfig& config, bool adaptive,
-                                 double spec_sigmas)
-    : TestSynthesizer(path::graph_from_config(config), adaptive, spec_sigmas) {}
-
 TestSynthesizer::TestSynthesizer(const path::PathGraphConfig& graph, bool adaptive,
                                  double spec_sigmas)
     : translator_(graph), adaptive_(adaptive), spec_sigmas_(spec_sigmas) {
@@ -164,11 +160,10 @@ std::vector<PlannedTest> TestSynthesizer::synthesize() const {
   };
 
   // The plan walks the graph's block list in order, emitting each block's
-  // Table 1 rows; the canonical receiver graph reproduces the original flat
-  // plan byte-for-byte (amp, mixer, lo, lpf, adc). Repeated kinds are
-  // disambiguated with "#2", "#3"... suffixes, and the threshold studies
-  // (which analyze the first block of their kind) attach to the first
-  // occurrence only.
+  // Table 1 rows (on the canonical receiver: amp, mixer, lo, lpf, adc).
+  // Repeated kinds are disambiguated with "#2", "#3"... suffixes, and the
+  // threshold studies (which analyze the first block of their kind) attach
+  // to the first occurrence only.
   const bool has_mixer = graph().index_of(path::BlockKind::kMixer).has_value();
   std::size_t seen[5] = {0, 0, 0, 0, 0};
   std::size_t lo_seen = 0;
@@ -266,6 +261,8 @@ std::vector<PlannedTest> TestSynthesizer::synthesize() const {
     }
   }
 
+  // The service caches the plan as returned: drop the growth slack.
+  plan.shrink_to_fit();
   return plan;
 }
 

@@ -41,13 +41,9 @@ class TestSynthesizer {
   /// Fig. 2 draws min/max inside the distribution's visible support, so the
   /// default (2 sigma) keeps noticeable probability mass at the limits —
   /// the regime in which FCL/YL trades matter at all.
-  explicit TestSynthesizer(const path::PathConfig& config, bool adaptive = true,
-                           double spec_sigmas = 2.0);
-
-  /// Synthesis over an arbitrary (validated) path graph: the plan walks the
-  /// block list in graph order, emitting each block's Table 1 rows; repeated
-  /// kinds get "#2", "#3"... module suffixes. The canonical graph reproduces
-  /// the flat-config plan byte-for-byte.
+  ///
+  /// The plan walks the graph's block list in order, emitting each block's
+  /// Table 1 rows; repeated kinds get "#2", "#3"... module suffixes.
   explicit TestSynthesizer(const path::PathGraphConfig& graph, bool adaptive = true,
                            double spec_sigmas = 2.0);
 

@@ -39,9 +39,14 @@ double margin_of(const stats::SpecLimits& limits, double x) {
 
 }  // namespace
 
-TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
+TestProgram::TestProgram(const path::PathGraphConfig& graph, GuardBandPolicy policy,
                          path::MeasureOptions opts)
-    : config_(config), translator_(config), policy_(policy), opts_(opts) {
+    : translator_(graph), policy_(policy), opts_(opts) {
+  using path::BlockKind;
+  const path::PathGraphConfig& g = translator_.model().graph();
+  const path::BlockConfig& mixer = g.first(BlockKind::kMixer);
+  const path::BlockConfig& lpf = g.first(BlockKind::kLpf);
+
   // Specs: gain windows from the block nominals; parameter limits at
   // nominal - 2 sigma (the synthesizer's convention).
   auto two_sigma_low = [](const stats::Uncertain& p) {
@@ -53,11 +58,22 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "path_gain";
     s.unit = "dB";
-    const double nominal = config.amp.gain_db.nominal +
-                           config.mixer.conv_gain_db.nominal +
-                           config.lpf.passband_gain_db.nominal;
-    const double tol = config.amp.gain_db.wc + config.mixer.conv_gain_db.wc +
-                       config.lpf.passband_gain_db.wc;
+    // Every gain-bearing block, in graph order.
+    double nominal = 0.0;
+    double tol = 0.0;
+    for (const path::BlockConfig& b : g.blocks) {
+      const stats::Uncertain* gain = nullptr;
+      switch (b.kind) {
+        case BlockKind::kAmp: gain = &b.amp.gain_db; break;
+        case BlockKind::kMixer: gain = &b.mixer.conv_gain_db; break;
+        case BlockKind::kLpf: gain = &b.lpf.passband_gain_db; break;
+        case BlockKind::kAdc:
+        case BlockKind::kFir: break;
+      }
+      if (gain == nullptr) continue;
+      nominal += gain->nominal;
+      tol += gain->wc;
+    }
     s.spec = stats::SpecLimits::window(nominal - tol, nominal + tol);
     s.error_budget_wc = translator_.analyze_path_gain().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
@@ -75,7 +91,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "lo_freq_error";
     s.unit = "ppm";
-    const double tol = config.lo.freq_error_ppm.wc;
+    const double tol = mixer.lo.freq_error_ppm.wc;
     s.spec = stats::SpecLimits::window(-tol, tol);
     s.error_budget_wc = translator_.analyze_lo_freq_error().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
@@ -93,7 +109,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "output_dc";
     s.unit = "V";
-    const double tol = config.adc.offset_error_v.wc;
+    const double tol = g.first(BlockKind::kAdc).adc.offset_error_v.wc;
     s.spec = stats::SpecLimits::window(-tol, tol);
     s.error_budget_wc = translator_.analyze_adc_offset().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
@@ -108,7 +124,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "mixer_iip3";
     s.unit = "dBm";
-    s.spec = two_sigma_low(config.mixer.iip3_dbm);
+    s.spec = two_sigma_low(mixer.mixer.iip3_dbm);
     s.error_budget_wc = translator_.analyze_mixer_iip3(true).error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
     s.measure = [this](const path::PathGraph& p, stats::Rng& rng,
@@ -127,7 +143,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "mixer_p1db";
     s.unit = "dBm";
-    s.spec = two_sigma_low(config.mixer.p1db_in_dbm);
+    s.spec = two_sigma_low(mixer.mixer.p1db_in_dbm);
     s.error_budget_wc = translator_.analyze_mixer_p1db().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
     s.measure = [this](const path::PathGraph& p, stats::Rng& rng, TestContext&) {
@@ -141,7 +157,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "lpf_cutoff";
     s.unit = "Hz";
-    const auto& p = config.lpf.cutoff_hz;
+    const auto& p = lpf.lpf.cutoff_hz;
     s.spec = stats::SpecLimits::window(p.nominal - 2.0 * p.sigma,
                                        p.nominal + 2.0 * p.sigma);
     s.error_budget_wc = translator_.analyze_lpf_cutoff().error.wc;

@@ -65,8 +65,9 @@ struct DeviceResult {
 /// An ordered, guard-banded system-level test program.
 class TestProgram {
  public:
-  /// Synthesizes the program for a path description.
-  TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
+  /// Synthesizes the program for a path graph. The parameter steps test the
+  /// first mixer, its LO, the first LPF and the ADC, as the translator does.
+  TestProgram(const path::PathGraphConfig& graph, GuardBandPolicy policy,
               path::MeasureOptions opts = {});
 
   /// Runs all steps against a device. With `stop_on_fail` the program exits
@@ -79,7 +80,6 @@ class TestProgram {
   GuardBandPolicy policy() const { return policy_; }
 
  private:
-  path::PathConfig config_;
   Translator translator_;
   GuardBandPolicy policy_;
   path::MeasureOptions opts_;

@@ -30,9 +30,6 @@ Uncertain measurement_floor_db() { return Uncertain(0.0, 0.05, 0.02); }
 
 }  // namespace
 
-Translator::Translator(const path::PathConfig& config)
-    : Translator(path::graph_from_config(config)) {}
-
 Translator::Translator(const path::PathGraphConfig& graph)
     : model_(graph),
       amp_idx_(model_.graph().index_of(path::BlockKind::kAmp)),

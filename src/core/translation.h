@@ -57,7 +57,6 @@ struct TranslationAnalysis {
 /// analyses key off the first block of the matching kind).
 class Translator {
  public:
-  explicit Translator(const path::PathConfig& config);
   explicit Translator(const path::PathGraphConfig& graph);
 
   const PathAttrModel& model() const { return model_; }
@@ -172,8 +171,8 @@ class Translator {
   const path::PathGraphConfig& graph() const { return model_.graph(); }
 
   PathAttrModel model_;
-  /// First block of each kind the analyses reason about (graph index; the
-  /// canonical chain has mixer at PathAttrModel::kMixer).
+  /// Graph index of the first block of each kind the analyses reason about
+  /// (nullopt when the graph has none).
   std::optional<std::size_t> amp_idx_;
   std::optional<std::size_t> mixer_idx_;
   std::optional<std::size_t> lpf_idx_;

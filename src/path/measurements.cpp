@@ -19,11 +19,6 @@ std::size_t analog_record(const PathGraphConfig& c, const MeasureOptions& opts) 
   return opts.digital_record * c.adc_decimation();
 }
 
-double coherent_if(const PathGraphConfig& c, const MeasureOptions& opts,
-                   double target_if) {
-  return dsp::coherent_frequency(c.digital_fs(), opts.digital_record, target_if);
-}
-
 // Programmed (nominal) frequency of the first mixer's LO.
 double lo_freq_hz(const PathGraphConfig& c) {
   return c.first(BlockKind::kMixer).lo.freq_hz;
@@ -135,7 +130,7 @@ TwoToneResponse two_tone_from(const dsp::Spectrum& spectrum, double f1_if, doubl
 
 }  // namespace
 
-double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
+double coherent_if_freq(const PathGraphConfig& config, const MeasureOptions& opts,
                         double target_if) {
   return dsp::coherent_frequency(config.digital_fs(), opts.digital_record, target_if);
 }
@@ -241,14 +236,14 @@ double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
   obs::Span span("path.measure_path_cutoff_hz");
   const PathGraphConfig& c = path.config();
   // Reference gain deep in the pass-band.
-  const double f_ref = coherent_if(c, opts, 100e3);
+  const double f_ref = coherent_if_freq(c, opts, 100e3);
   const double g_ref = measure_path_gain_db(path, f_ref, amp_vpeak, noise_rng, opts);
 
   // Bisect the -3 dB frequency between the reference and 1.5x nominal fc.
   double lo = f_ref;
   double hi = 1.5 * c.first(BlockKind::kLpf).lpf.cutoff_hz.nominal;
   for (int iter = 0; iter < 10; ++iter) {
-    const double mid = coherent_if(c, opts, 0.5 * (lo + hi));
+    const double mid = coherent_if_freq(c, opts, 0.5 * (lo + hi));
     const double g = measure_path_gain_db(path, mid, amp_vpeak, noise_rng, opts);
     if (g_ref - g >= 3.0) {
       hi = mid;
@@ -319,8 +314,8 @@ double measure_group_delay_s(const PathGraph& path, double if_freq,
                "nominal path delay exceeds the unambiguous phase-slope range "
                "even at the narrowest tone spacing; the measured phase "
                "difference would alias — use a longer record");
-  const double f1 = coherent_if(c, opts, if_freq - half_bins * bin_w);
-  const double f2 = coherent_if(c, opts, if_freq + half_bins * bin_w);
+  const double f1 = coherent_if_freq(c, opts, if_freq - half_bins * bin_w);
+  const double f2 = coherent_if_freq(c, opts, if_freq + half_bins * bin_w);
   MSTS_REQUIRE(f2 > f1, "group-delay tones collapsed; widen the record");
   // Narrowed tones sit too close for wide-lobe windows (Blackman-Harris
   // spans +/-5 bins — measure_tone's peak refinement would land both tones

@@ -29,7 +29,7 @@ struct MeasureOptions {
 };
 
 /// Places IF tone frequencies onto coherent (bin-centred) digital bins.
-double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
+double coherent_if_freq(const PathGraphConfig& config, const MeasureOptions& opts,
                         double target_if);
 
 /// Runs the path with a multi-tone RF stimulus at lo_nominal + if_freqs and

@@ -1,8 +1,8 @@
-// Flat configuration of the canonical receiver path (the paper's Fig. 6
-// chain). This is the original, ergonomic description clients hand to
-// PathGraph / TestSynthesizer; the composable-graph layer
-// (path/path_graph.h) derives its canonical PathGraphConfig from it via
-// graph_from_config(), and both describe the exact same path.
+// Flat parameter set of the canonical receiver path (the paper's Fig. 6
+// chain): every block's nominals and tolerances in one struct. It is not a
+// second path description: PathGraphConfig (path/path_graph.h) converts from
+// it implicitly, arranging amp -> mixer -> lpf -> adc -> fir, and every API
+// takes the graph, so a flat config can be handed to any of them.
 #pragma once
 
 #include <cstddef>
@@ -44,22 +44,5 @@ struct PathConfig {
 /// The communication-path configuration used throughout the experiments
 /// (values recorded in DESIGN.md section 5).
 PathConfig reference_path_config();
-
-/// Construction-time validation shared by every PathConfig consumer
-/// (PathGraph, PathAttrModel, graph_from_config). Throws via MSTS_REQUIRE
-/// on the first violated rule:
-///   * analog_fs must be a positive, finite rate;
-///   * every Uncertain (block tolerances, analog_flatness_db) finite, with
-///     wc >= 0 and sigma >= 0;
-///   * lo freq_hz in (0, analog_fs/2), lo amplitude finite and > 0;
-///   * adc_decimation >= 1;
-///   * adc bits inside the digital filter's input-width budget [2, 24];
-///   * adc vref finite and > 0;
-///   * lpf order a positive even biquad-cascade order;
-///   * lpf cutoff_hz +/- wc in (0, analog_fs/2), lpf clock_hz finite and > 0;
-///   * fir_taps odd and >= 3 (type-I linear-phase design);
-///   * fir_cutoff_norm in (0, 0.5);
-///   * fir_coeff_frac_bits in [1, 30] (the int32 coefficient budget).
-void validate(const PathConfig& config);
 
 }  // namespace msts::path

@@ -84,15 +84,23 @@ std::size_t PathGraphConfig::count(BlockKind kind) const {
   return n;
 }
 
+PathGraphConfig::PathGraphConfig(const PathConfig& config)
+    : analog_fs(config.analog_fs),
+      blocks{BlockConfig::make_amp(config.amp),
+             BlockConfig::make_mixer(config.mixer, config.lo),
+             BlockConfig::make_lpf(config.lpf),
+             BlockConfig::make_adc(config.adc, config.adc_decimation),
+             BlockConfig::make_fir(config.fir_taps, config.fir_cutoff_norm,
+                                   config.fir_coeff_frac_bits)},
+      analog_flatness_db(config.analog_flatness_db) {}
+
 std::size_t PathGraphConfig::adc_decimation() const {
   return first(BlockKind::kAdc).adc_decimation;
 }
 
 namespace {
 
-// Per-block parameter rules shared by validate(PathConfig) and
-// validate(PathGraphConfig). Kept here so the two descriptions can never
-// drift apart.
+// Per-block parameter rules of validate(PathGraphConfig).
 void validate_uncertain(const stats::Uncertain& u, const char* name) {
   MSTS_REQUIRE(std::isfinite(u.nominal) && std::isfinite(u.wc) &&
                    std::isfinite(u.sigma) && u.wc >= 0.0 && u.sigma >= 0.0,
@@ -164,18 +172,6 @@ std::vector<std::int32_t> design_fir(std::size_t taps, double cutoff_norm,
 }
 
 }  // namespace
-
-void validate(const PathConfig& config) {
-  MSTS_REQUIRE(std::isfinite(config.analog_fs) && config.analog_fs > 0.0,
-               "analog_fs must be a positive, finite rate");
-  validate_uncertain(config.analog_flatness_db, "analog_flatness_db");
-  validate_amp_block(config.amp);
-  validate_mixer_block(config.mixer, config.lo, config.analog_fs);
-  validate_adc_block(config.adc, config.adc_decimation);
-  validate_lpf_block(config.lpf, config.analog_fs);
-  validate_fir_block(config.fir_taps, config.fir_cutoff_norm,
-                     config.fir_coeff_frac_bits);
-}
 
 void validate(const PathGraphConfig& graph) {
   MSTS_REQUIRE(std::isfinite(graph.analog_fs) && graph.analog_fs > 0.0,
@@ -256,20 +252,6 @@ PathConfig reference_path_config() {
   return c;
 }
 
-PathGraphConfig graph_from_config(const PathConfig& config) {
-  validate(config);
-  PathGraphConfig g;
-  g.analog_fs = config.analog_fs;
-  g.analog_flatness_db = config.analog_flatness_db;
-  g.blocks.push_back(BlockConfig::make_amp(config.amp));
-  g.blocks.push_back(BlockConfig::make_mixer(config.mixer, config.lo));
-  g.blocks.push_back(BlockConfig::make_lpf(config.lpf));
-  g.blocks.push_back(BlockConfig::make_adc(config.adc, config.adc_decimation));
-  g.blocks.push_back(BlockConfig::make_fir(config.fir_taps, config.fir_cutoff_norm,
-                                           config.fir_coeff_frac_bits));
-  return g;
-}
-
 // ---------------------------------------------------------------------------
 // PathGraph
 // ---------------------------------------------------------------------------
@@ -328,15 +310,8 @@ PathGraph::PathGraph(const PathGraphConfig& config, stats::Rng* rng)
 
 PathGraph::PathGraph(const PathGraphConfig& config) : PathGraph(config, nullptr) {}
 
-PathGraph::PathGraph(const PathConfig& config)
-    : PathGraph(graph_from_config(config), nullptr) {}
-
 PathGraph PathGraph::sampled(const PathGraphConfig& config, stats::Rng& rng) {
   return PathGraph(config, &rng);
-}
-
-PathGraph PathGraph::sampled(const PathConfig& config, stats::Rng& rng) {
-  return PathGraph(graph_from_config(config), &rng);
 }
 
 const analog::Amplifier& PathGraph::amp_at(std::size_t i) const {

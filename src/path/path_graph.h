@@ -5,8 +5,9 @@
 // defined over an arbitrary mixed-signal path; a PathGraphConfig makes the
 // path structure itself data: any arrangement of amplifier / mixer(+LO) /
 // low-pass-filter blocks in front of exactly one ADC, optionally followed by
-// one digital FIR block. The canonical receiver of Fig. 6 is just one
-// instance — graph_from_config(PathConfig) produces it.
+// one digital FIR block. It is the one path description every API takes. The
+// canonical receiver of Fig. 6 is just one instance: a flat PathConfig
+// converts to it implicitly.
 //
 // The same BlockConfig list drives three layers:
 //   * PathGraph       — the transient simulator (this header),
@@ -71,6 +72,12 @@ struct PathGraphConfig {
   std::vector<BlockConfig> blocks;
   stats::Uncertain analog_flatness_db = stats::Uncertain::from_tolerance(0.0, 0.3);
 
+  PathGraphConfig() = default;
+  /// The canonical receiver of a flat config: amp -> mixer -> lpf -> adc ->
+  /// fir. Implicit, so a PathConfig goes wherever a graph does. It only
+  /// arranges blocks; the consumers validate.
+  PathGraphConfig(const PathConfig& config);
+
   /// Index of the first block of `kind` (nullopt when absent).
   std::optional<std::size_t> index_of(BlockKind kind) const;
   /// Index of the first block of `kind`; throws naming the kind when absent.
@@ -85,15 +92,24 @@ struct PathGraphConfig {
   }
 };
 
-/// Structural + per-block validation. Throws via MSTS_REQUIRE on the first
-/// violation: positive finite analog_fs, exactly one ADC, analog blocks only
-/// in front of it, at most one FIR and only behind it, plus the per-block
-/// rules of validate(PathConfig).
+/// Construction-time validation shared by every graph consumer (PathGraph,
+/// PathAttrModel and everything built on them). Throws via MSTS_REQUIRE on
+/// the first violated rule:
+///   * analog_fs a positive, finite rate;
+///   * at least one block, exactly one ADC, analog blocks only in front of
+///     it, at most one FIR and only behind it;
+///   * every Uncertain (block tolerances, analog_flatness_db) finite, with
+///     wc >= 0 and sigma >= 0;
+///   * lo freq_hz in (0, analog_fs/2), lo amplitude finite and > 0;
+///   * adc_decimation >= 1;
+///   * adc bits inside the digital filter's input-width budget [2, 24];
+///   * adc vref finite and > 0;
+///   * lpf order a positive even biquad-cascade order;
+///   * lpf cutoff_hz +/- wc in (0, analog_fs/2), lpf clock_hz finite and > 0;
+///   * fir_taps odd and >= 3 (type-I linear-phase design);
+///   * fir_cutoff_norm in (0, 0.5);
+///   * fir_coeff_frac_bits in [1, 30] (the int32 coefficient budget).
 void validate(const PathGraphConfig& graph);
-
-/// The canonical graph of a flat PathConfig: amp → mixer → lpf → adc → fir.
-/// Validates `config` first (see path/path_config.h).
-PathGraphConfig graph_from_config(const PathConfig& config);
 
 struct GraphWorkspace;
 
@@ -120,15 +136,11 @@ class PathGraph {
 
   /// Every block at its nominal parameters.
   explicit PathGraph(const PathGraphConfig& config);
-  /// The canonical receiver graph_from_config(config) at nominal.
-  explicit PathGraph(const PathConfig& config);
 
   /// Monte-Carlo instance. Blocks draw in graph order, a mixer before its
   /// LO, and each block draws its fields in declaration order (see the
   /// analog headers), so a seed names the same device on every compiler.
   static PathGraph sampled(const PathGraphConfig& config, stats::Rng& rng);
-  /// sampled() of the canonical receiver graph_from_config(config).
-  static PathGraph sampled(const PathConfig& config, stats::Rng& rng);
 
   /// Everything a transient run produces.
   struct Trace {

@@ -119,7 +119,7 @@ void put_graph(std::string& out, const path::PathGraphConfig& g) {
   }
 }
 
-// The bytes put_graph writes for graph_from_config(c), without building that
+// The bytes put_graph writes for PathGraphConfig(c), without building that
 // graph: amp -> mixer -> lpf -> adc -> fir.
 void put_canonical_graph(std::string& out, const path::PathConfig& c) {
   put_double(out, c.analog_fs);
@@ -182,17 +182,12 @@ MeasurementSetup setup_from(const core::Translator& translator,
 }  // namespace
 
 path::PathGraphConfig effective_graph(const SynthesisRequest& request) {
-  return request.graph ? *request.graph : path::graph_from_config(request.config);
+  return request.graph ? *request.graph : path::PathGraphConfig(request.config);
 }
 
 MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
                                         const path::MeasureOptions& opts) {
   return setup_from(core::Translator(graph), opts);
-}
-
-MeasurementSetup make_measurement_setup(const path::PathConfig& config,
-                                        const path::MeasureOptions& opts) {
-  return make_measurement_setup(path::graph_from_config(config), opts);
 }
 
 SynthesisResult synthesize_direct(const SynthesisRequest& request) {

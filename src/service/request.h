@@ -44,8 +44,8 @@ struct RequestOptions {
 ///
 /// A request describes its path either as the flat canonical `config` or as
 /// an explicit `graph` (any validated topology). When `graph` is set it
-/// takes precedence and `config` is ignored; when absent the path is
-/// graph_from_config(config). The content key always serializes the
+/// takes precedence and `config` is ignored; when absent the path is the
+/// graph `config` converts to. The content key always serializes the
 /// *effective graph*, so a flat request and its explicit canonical-graph
 /// form share one cache entry — and two topologies that differ only in
 /// block arrangement can never collide.
@@ -79,12 +79,7 @@ struct SynthesisResult {
   MeasurementSetup setup;
 };
 
-/// Derives the measurement setup for a config (deterministic).
-MeasurementSetup make_measurement_setup(const path::PathConfig& config,
-                                        const path::MeasureOptions& opts = {});
-
-/// Measurement setup for an arbitrary path graph (the canonical graph
-/// reproduces the flat-config setup exactly).
+/// Derives the measurement setup for a path graph (deterministic).
 MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
                                         const path::MeasureOptions& opts = {});
 

@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "base/require.h"
 #include "obs/registry.h"
@@ -46,27 +47,17 @@ std::uint64_t fnv1a_mix(std::uint64_t h, double v) {
 
 PathGraphConfig make_topology(const std::string& name,
                               const path::PathConfig& base) {
-  PathGraphConfig g;
-  g.analog_fs = base.analog_fs;
-  g.analog_flatness_db = base.analog_flatness_db;
-
-  const BlockConfig amp = BlockConfig::make_amp(base.amp);
-  const BlockConfig mixer = BlockConfig::make_mixer(base.mixer, base.lo);
-  const BlockConfig lpf = BlockConfig::make_lpf(base.lpf);
-  const BlockConfig adc = BlockConfig::make_adc(base.adc, base.adc_decimation);
-  const BlockConfig fir = BlockConfig::make_fir(base.fir_taps, base.fir_cutoff_norm,
-                                                base.fir_coeff_frac_bits);
-
-  if (name == "canonical") {
-    g.blocks = {amp, mixer, lpf, adc, fir};
-  } else if (name == "if-amp") {
-    g.blocks = {mixer, amp, lpf, adc, fir};
+  PathGraphConfig g(base);  // amp, mixer, lpf, adc, fir
+  std::vector<BlockConfig>& b = g.blocks;
+  if (name == "if-amp") {
+    std::swap(b[0], b[1]);
   } else if (name == "dual-lpf") {
-    g.blocks = {amp, mixer, lpf, lpf, adc, fir};
+    const BlockConfig lpf = b[2];
+    b.insert(b.begin() + 3, lpf);
   } else if (name == "no-amp") {
-    g.blocks = {mixer, lpf, adc, fir};
+    b.erase(b.begin());
   } else {
-    MSTS_REQUIRE(false, "unknown topology name");
+    MSTS_REQUIRE(name == "canonical", "unknown topology name");
   }
   return g;
 }

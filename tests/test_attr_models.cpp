@@ -201,9 +201,10 @@ TEST(FirAttrModel, ExactResponseNoAddedNoise) {
 TEST(PathAttrModel, CascadeGainMatchesBlockSum) {
   const PathAttrModel model(cfg());
   const double f_rf = 10.4e6;
-  const auto g_amp_in = model.gain_db_to(PathAttrModel::kAmp, f_rf);
+  const path::PathGraphConfig& g = model.graph();
+  const auto g_amp_in = model.gain_db_to(g.first_index(path::BlockKind::kAmp), f_rf);
   EXPECT_NEAR(g_amp_in.nominal, 0.0, 1e-9);
-  const auto g_mixer_in = model.gain_db_to(PathAttrModel::kMixer, f_rf);
+  const auto g_mixer_in = model.gain_db_to(g.first_index(path::BlockKind::kMixer), f_rf);
   EXPECT_NEAR(g_mixer_in.nominal, 15.0, 0.01);
   EXPECT_NEAR(g_mixer_in.wc, 1.0, 0.01);
   const auto g_path = model.path_gain_db(f_rf);
@@ -216,21 +217,23 @@ TEST(PathAttrModel, CascadeGainMatchesBlockSum) {
 TEST(PathAttrModel, GainSplitsAdd) {
   const PathAttrModel model(cfg());
   const double f_rf = 10.4e6;
-  const double to = model.gain_db_to(PathAttrModel::kLpf, f_rf).nominal;
-  const double from = model.gain_db_from(PathAttrModel::kLpf, f_rf).nominal;
+  const std::size_t lpf = model.graph().first_index(path::BlockKind::kLpf);
+  const double to = model.gain_db_to(lpf, f_rf).nominal;
+  const double from = model.gain_db_from(lpf, f_rf).nominal;
   EXPECT_NEAR(to + from, model.path_gain_db(f_rf).nominal, 1e-6);
 }
 
 TEST(PathAttrModel, InverseStimulusComputation) {
   const PathAttrModel model(cfg());
   const double f_rf = 10.4e6;
-  const double pi_amp = model.pi_amplitude_for(PathAttrModel::kAdc, f_rf, 0.1);
+  const std::size_t adc = model.graph().first_index(path::BlockKind::kAdc);
+  const double pi_amp = model.pi_amplitude_for(adc, f_rf, 0.1);
   // Forward-propagating that amplitude must land 0.1 V at the ADC input.
   const auto at_adc = model.forward_upto(
       make_stimulus(cfg().analog_fs, {ToneAttr{Uncertain::exact(f_rf),
                                                Uncertain::exact(pi_amp),
                                                Uncertain::exact(0.0)}}),
-      PathAttrModel::kAdc);
+      adc);
   EXPECT_NEAR(at_adc.tones[0].amplitude.nominal, 0.1, 1e-6);
 }
 
@@ -265,7 +268,7 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
       make_stimulus(c.analog_fs, {ToneAttr{Uncertain::exact(f_rf),
                                            Uncertain::exact(amp_pi),
                                            Uncertain::exact(0.0)}}),
-      PathAttrModel::kAdc + 1);
+      model.graph().first_index(path::BlockKind::kAdc) + 1);
 
   analog::Signal rf;
   rf.fs = c.analog_fs;

@@ -2,24 +2,43 @@
 // the invariants that keep the translated digital test sound.
 #include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/digital_test.h"
 #include "digital/fir.h"
 #include "path/receiver_path.h"
+#include "sweep/sweep.h"
 
 namespace msts::core {
 namespace {
 
 path::PathConfig cfg() { return path::reference_path_config(); }
 
-class MaskInvariants : public ::testing::TestWithParam<std::size_t> {};
+// One record length on one sweep arrangement of the reference config.
+struct MaskCase {
+  std::size_t record;
+  const char* topology;
+
+  path::PathGraphConfig graph() const { return sweep::make_topology(topology, cfg()); }
+};
+
+// The canonical cases print as the bare record, e.g. "512"; the others add
+// the arrangement, e.g. "512/no-amp".
+void PrintTo(const MaskCase& c, std::ostream* os) {
+  *os << c.record;
+  if (std::string(c.topology) != "canonical") *os << '/' << c.topology;
+}
+
+class MaskInvariants : public ::testing::TestWithParam<MaskCase> {};
 
 TEST_P(MaskInvariants, MaskIsFiniteAndAboveTesterFloor) {
-  const DigitalTester tester(cfg());
+  const DigitalTester tester(GetParam().graph());
   DigitalTestOptions opt;
-  opt.record = GetParam();
+  opt.record = GetParam().record;
   const auto plan = tester.plan(opt);
 
   // The strongest tone level bounds the tester floor from above.
@@ -38,9 +57,9 @@ TEST_P(MaskInvariants, MaskIsFiniteAndAboveTesterFloor) {
 }
 
 TEST_P(MaskInvariants, MarginShiftsTheMaskUniformly) {
-  const DigitalTester tester(cfg());
+  const DigitalTester tester(GetParam().graph());
   DigitalTestOptions a;
-  a.record = GetParam();
+  a.record = GetParam().record;
   a.mask_margin_db = 10.0;
   DigitalTestOptions b = a;
   b.mask_margin_db = 16.0;
@@ -54,24 +73,32 @@ TEST_P(MaskInvariants, MarginShiftsTheMaskUniformly) {
 TEST_P(MaskInvariants, GoodCircuitUnderIndependentNoisePassesTheMask) {
   // The headline soundness property at every record length: fresh noise
   // realisations of the healthy path never cross the mask.
-  const auto c = cfg();
-  const DigitalTester tester(c);
+  const path::PathGraphConfig graph = GetParam().graph();
+  const DigitalTester tester(graph);
   DigitalTestOptions opt;
-  opt.record = GetParam();
+  opt.record = GetParam().record;
   const auto plan = tester.plan(opt);
-  const path::ReceiverPath device(c);
+  const path::PathGraph device(graph);
   const auto ideal = tester.ideal_codes(plan);
   for (int seed = 1; seed <= 3; ++seed) {
     stats::Rng rng(9000 + seed);
     const auto noisy = tester.path_codes(plan, device, rng);
     const auto out = tester.spectral_campaign(plan, ideal, noisy, {});
-    EXPECT_FALSE(out.good_circuit_flagged) << "record " << GetParam() << " seed "
-                                           << seed;
+    EXPECT_FALSE(out.good_circuit_flagged)
+        << "record " << GetParam().record << " on " << GetParam().topology << ", seed "
+        << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Records, MaskInvariants,
-                         ::testing::Values<std::size_t>(256, 512, 2048));
+std::vector<MaskCase> mask_cases() {
+  std::vector<MaskCase> cases;
+  for (const char* topology : {"canonical", "if-amp", "dual-lpf", "no-amp"}) {
+    for (const std::size_t record : {256, 512, 2048}) cases.push_back({record, topology});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Records, MaskInvariants, ::testing::ValuesIn(mask_cases()));
 
 TEST(MaskInvariants, ExclusionsNeverCoverEverything) {
   const DigitalTester tester(cfg());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/synthesizer.h"
+#include "sweep/sweep.h"
 
 namespace msts::core {
 namespace {
@@ -45,27 +46,33 @@ TEST(McValidation, MeasurementErrorWithinBudget) {
 
 TEST(McValidation, BitIdenticalAcrossThreadCounts) {
   // One RNG stream per trial plus a serial trial-order reduction: every
-  // field must match exactly whatever the thread count.
-  const auto config = path::reference_path_config();
-  const TestSynthesizer synth(config, /*adaptive=*/true);
-  const auto study = synth.study_mixer_iip3();
+  // field must match exactly whatever the thread count, on the canonical
+  // receiver and on two sweep arrangements around it.
   path::MeasureOptions opts;
   opts.digital_record = 1024;
+  for (const char* topology : {"canonical", "if-amp", "no-amp"}) {
+    const path::PathGraphConfig graph =
+        sweep::make_topology(topology, path::reference_path_config());
+    const TestSynthesizer synth(graph, /*adaptive=*/true);
+    const auto study = synth.study_mixer_iip3();
 
-  // 37 trials: the lane groups end in a partial batch of path::kLanes.
-  auto run = [&](int threads) {
-    stats::Rng rng(80);
-    return validate_iip3_study_mc(config, study, 37, rng, true, opts, threads);
-  };
-  const auto serial = run(1);
-  for (const int threads : {2, 3, 8}) {
-    const auto parallel = run(threads);
-    EXPECT_EQ(parallel.weight_good, serial.weight_good) << threads << " threads";
-    EXPECT_EQ(parallel.weight_faulty, serial.weight_faulty) << threads << " threads";
-    EXPECT_EQ(parallel.fcl_measured, serial.fcl_measured) << threads << " threads";
-    EXPECT_EQ(parallel.yl_measured, serial.yl_measured) << threads << " threads";
-    EXPECT_EQ(parallel.mean_abs_meas_error, serial.mean_abs_meas_error)
-        << threads << " threads";
+    // 37 trials: the lane groups end in a partial batch of path::kLanes.
+    auto run = [&](int threads) {
+      stats::Rng rng(80);
+      return validate_iip3_study_mc(graph, study, 37, rng, true, opts, threads);
+    };
+    const auto serial = run(1);
+    for (const int threads : {2, 3, 8}) {
+      const auto parallel = run(threads);
+      EXPECT_EQ(parallel.weight_good, serial.weight_good) << topology << ", " << threads;
+      EXPECT_EQ(parallel.weight_faulty, serial.weight_faulty)
+          << topology << ", " << threads;
+      EXPECT_EQ(parallel.fcl_measured, serial.fcl_measured)
+          << topology << ", " << threads;
+      EXPECT_EQ(parallel.yl_measured, serial.yl_measured) << topology << ", " << threads;
+      EXPECT_EQ(parallel.mean_abs_meas_error, serial.mean_abs_meas_error)
+          << topology << ", " << threads;
+    }
   }
 }
 

@@ -111,7 +111,7 @@ TEST(PathConfigValidation, RejectsOddOrNonPositiveLpfOrder) {
 // ---------------------------------------------------------------------------
 
 PathGraphConfig canonical_graph() {
-  return graph_from_config(reference_path_config());
+  return PathGraphConfig(reference_path_config());
 }
 
 TEST(PathGraphValidation, CanonicalGraphIsValidAndOrdered) {

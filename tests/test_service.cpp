@@ -91,7 +91,7 @@ TEST(ServiceRequest, ContentKeyDistinguishesConfigsAndOptions) {
 TEST(ServiceRequest, FlatAndCanonicalGraphRequestsShareOneKey) {
   const SynthesisRequest flat = make_request();
   SynthesisRequest graphed = flat;
-  graphed.graph = path::graph_from_config(flat.config);
+  graphed.graph = path::PathGraphConfig(flat.config);
   EXPECT_EQ(content_key(graphed), content_key(flat));
   EXPECT_EQ(content_hash(graphed), content_hash(flat));
 
@@ -105,7 +105,7 @@ TEST(ServiceRequest, FlatAndCanonicalGraphRequestsShareOneKey) {
 // ContentKeyDistinguishesConfigsAndOptions).
 TEST(ServiceRequest, ContentKeyCoversGraphArrangementAndBlockFields) {
   SynthesisRequest base = make_request();
-  base.graph = path::graph_from_config(base.config);
+  base.graph = path::PathGraphConfig(base.config);
   const std::string key = content_key(base);
 
   // An explicit graph takes precedence: once set, the flat config is inert.
@@ -446,7 +446,7 @@ TEST(ServiceEngine, MalformedRequestsFailThroughFuture) {
        [](SynthesisRequest& r) { r.config.lpf.cutoff_hz.wc = 1.5e6; }},
       {"graph LO above Nyquist",
        [](SynthesisRequest& r) {
-         r.graph = path::graph_from_config(r.config);
+         r.graph = path::PathGraphConfig(r.config);
          r.graph->blocks[1].lo.freq_hz = 20e6;
        }},
   };
