@@ -6,6 +6,7 @@
 
 #include "base/memo.h"
 #include "base/require.h"
+#include "base/simd.h"
 #include "base/units.h"
 #include "stats/monte_carlo.h"
 
@@ -100,23 +101,21 @@ void Adc::digitize_strided(const double* x, std::size_t n, std::size_t stride,
                            std::size_t decimation,
                            std::vector<std::int64_t>& out) const {
   MSTS_REQUIRE(decimation >= 1, "decimation must be >= 1");
-
-  const double q = lsb();
-  const auto code_min = static_cast<double>(-(1ll << (bits_ - 1)));
-  const auto code_max = static_cast<double>((1ll << (bits_ - 1)) - 1);
-
-  out.clear();
-  out.reserve(n / decimation + 1);
-  for (std::size_t i = 0; i < n; i += decimation) {
-    const double v = (x[i * stride] + offset_error_v_) * (1.0 + gain_error_);
-    MSTS_REQUIRE(std::isfinite(v),
-                 "ADC input is not finite (sample with offset and gain error)");
-    const double u = v / vref_;  // normalised position in [-1, 1]
-    // Rails first: llround of a value beyond the long long range is
-    // unspecified.
-    const double code_f = std::clamp(v / q + inl_at(u), code_min, code_max);
-    out.push_back(static_cast<std::int64_t>(std::llround(code_f)));
-  }
+  simd::AdcTransfer t;
+  t.offset_v = offset_error_v_;
+  t.gain = 1.0 + gain_error_;
+  t.vref = vref_;
+  t.lsb = lsb();
+  t.code_min = static_cast<double>(-(1ll << (bits_ - 1)));
+  t.code_max = static_cast<double>((1ll << (bits_ - 1)) - 1);
+  t.inl = inl_table_.data();
+  t.inl_codes = inl_table_.size();
+  const std::size_t count = n == 0 ? 0 : (n - 1) / decimation + 1;
+  out.resize(count);
+  const std::size_t done =
+      simd::kernels().adc_convert(t, x, stride * decimation, count, out.data());
+  if (done < count) out.resize(done);
+  MSTS_REQUIRE(done == count, "ADC input is not finite (sample with offset and gain error)");
 }
 
 std::vector<std::int64_t> Adc::digitize(const Signal& in, std::size_t decimation) const {

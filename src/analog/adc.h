@@ -3,7 +3,11 @@
 // The interface module between the analog front end and the digital filter.
 // Non-idealities from Table 1: offset error, INL, DNL (plus gain error and
 // the intrinsic quantisation), all toleranced. digitize() also performs the
-// rate change from the analog simulation rate to the digital clock.
+// rate change from the analog simulation rate to the digital clock. The
+// conversion runs as the per-ISA kernel simd::Kernels::adc_convert, a few
+// codes per vector; every step of it is exact (rounding half away from zero
+// is written out as truncate-and-step), so the codes are the same on every
+// backend.
 #pragma once
 
 #include <cstdint>

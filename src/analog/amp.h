@@ -7,9 +7,8 @@
 // datasheet nominals and Monte-Carlo instances sample the tolerances.
 #pragma once
 
-#include <algorithm>
-
 #include "analog/signal.h"
+#include "base/chains.h"
 #include "stats/rng.h"
 #include "stats/uncertain.h"
 
@@ -43,16 +42,18 @@ class Amplifier {
   /// must not alias `in`.
   void process_into(const Signal& in, stats::Rng& noise_rng, Signal& out) const;
 
-  /// The per-record constants of process() at rate fs.
+  /// The per-record constants of process() at rate fs. c2/c3 derive from
+  /// IIP2/IIP3 (volt peak), vsat from the output P1dB level.
   struct Coeffs {
-    double a1, c2, c3, vsat;  ///< apply_nonlinearity's arguments.
+    double a1, c2, c3, vsat;  ///< base::apply_nonlinearity's arguments.
     double noise_sigma;       ///< Input-referred noise (volts RMS).
     double dc_offset_v;
   };
   Coeffs coeffs(double fs) const;
 
-  /// One output sample from input sample x and its noise deviate: the
-  /// expression process() and the lane walk (path/lanes.h) both evaluate.
+  /// One output sample from input sample x and its noise deviate:
+  /// base::amp_apply, which the lane kernel (simd::Kernels::amp_lanes)
+  /// evaluates too.
   static double apply(const Coeffs& k, double x, double deviate);
 
   double actual_gain_db() const { return gain_db_; }
@@ -73,19 +74,8 @@ class Amplifier {
   double dc_offset_v_;
 };
 
-/// Memoryless nonlinearity shared by amplifier and mixer models:
-/// y = a1*(x + c2 x^2 + c3 x^3), then hard-limited at +/-vsat.
-/// c2/c3 derive from IIP2/IIP3 (volt peak), vsat from the output P1dB level.
-/// Inline: evaluated once per transient sample in both stages.
-inline double apply_nonlinearity(double x, double a1, double c2, double c3,
-                                 double vsat) {
-  const double y = a1 * (x + c2 * x * x + c3 * x * x * x);
-  return std::clamp(y, -vsat, vsat);
-}
-
 inline double Amplifier::apply(const Coeffs& k, double x, double deviate) {
-  const double xn = x + k.noise_sigma * deviate;
-  return apply_nonlinearity(xn, k.a1, k.c2, k.c3, k.vsat) + k.dc_offset_v;
+  return base::amp_apply(x, deviate, k.noise_sigma, k.a1, k.c2, k.c3, k.vsat, k.dc_offset_v);
 }
 
 /// Third-order coefficient for an input intercept amplitude (volts peak):

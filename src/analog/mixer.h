@@ -9,6 +9,7 @@
 #include "analog/amp.h"
 #include "analog/lo.h"
 #include "analog/signal.h"
+#include "base/chains.h"
 #include "stats/rng.h"
 #include "stats/uncertain.h"
 
@@ -50,13 +51,10 @@ class Mixer {
   Coeffs coeffs(double fs) const;
 
   /// One output sample from the RF sample, its noise deviate and the LO
-  /// sample: the expression process() and the lane walk (path/lanes.h)
-  /// both evaluate.
+  /// sample: base::mixer_apply, which the lane kernel
+  /// (simd::Kernels::mixer_lanes) evaluates too.
   static double apply(const Coeffs& k, double rf, double deviate, double lo) {
-    const double x = rf + k.noise_sigma * deviate;
-    // RF-port nonlinearity, then multiplication, then LO feedthrough.
-    const double distorted = apply_nonlinearity(x, k.a1, 0.0, k.c3, k.vsat);
-    return distorted * lo + k.leak * lo;
+    return base::mixer_apply(rf, deviate, lo, k.noise_sigma, k.a1, k.c3, k.vsat, k.leak);
   }
 
   double actual_conv_gain_db() const { return conv_gain_db_; }

@@ -19,8 +19,8 @@
 // compares every vector backend against (see check/kernel_checks.h).
 //
 // Rounding contract per kernel:
-//  * apply_window, fir_dot, fault_eval — element-wise products, integer and
-//    logic ops: bit-identical across all backends;
+//  * apply_window, fir_block, fault_eval — element-wise products, integer
+//    and logic ops: bit-identical across all backends;
 //  * fft_pass, rfft_combine — same expression shapes as scalar, but the
 //    per-TU flags may contract mul+add to FMA: few-ulp drift, bounded by the
 //    differential tolerances;
@@ -46,12 +46,19 @@
 namespace msts::simd {
 namespace MSTS_SIMD_BACKEND_NS {
 
-// The lane kernels, defined by this backend's simd_lanes_<isa>.cpp (built
-// without FP contraction; see base/simd_lanes_body.h).
+// The lane kernels and the ADC conversion, defined by this backend's
+// simd_lanes_<isa>.cpp (built without FP contraction; see
+// base/simd_lanes_body.h).
 void lo_lanes(LoLanes& lo, double* x, std::size_t n);
 void lpf_lanes(const LpfLanes& lpf, double* x, std::size_t n);
+void amp_lanes(const AmpLanes& amp, const double* in, bool shared, const double* noise,
+               double* out, std::size_t n);
+void mixer_lanes(const MixerLanes& mixer, const double* in, bool shared, const double* noise,
+                 const double* lo, double* out, std::size_t n);
 void draw_pairs(std::uint64_t (*state)[4], const std::size_t* pairs, std::size_t lanes,
-                double* const* uv, double* const* s);
+                double* const* uv, double* const* s, std::size_t stride);
+std::size_t adc_convert(const AdcTransfer& adc, const double* x, std::size_t step,
+                        std::size_t count, std::int64_t* out);
 
 namespace {
 
@@ -219,13 +226,13 @@ void biquad_ff(const double* x, double b0, double b1, double b2, double* out,
   }
 }
 
-std::int64_t fir_dot(const std::int32_t* coeffs, std::size_t taps,
-                     const std::int64_t* x) {
-  std::int64_t acc = 0;
-  for (std::size_t k = 0; k < taps; ++k) {
-    acc += coeffs[k] * x[-static_cast<std::ptrdiff_t>(k)];
+void fir_block(const std::int32_t* coeffs, std::size_t taps, const std::int64_t* x,
+               std::int64_t* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int64_t acc = 0;
+    for (std::size_t k = 0; k < taps; ++k) acc += coeffs[k] * (x + i)[-static_cast<std::ptrdiff_t>(k)];
+    y[i] = acc;
   }
-  return acc;
 }
 
 void fault_eval(const SimOp* ops, std::size_t nops, std::uint64_t* values,
@@ -255,7 +262,6 @@ constexpr int C = W / 2;            // interleaved complex values per vector
 typedef double vd __attribute__((vector_size(sizeof(double) * W)));
 typedef std::int64_t vi64 __attribute__((vector_size(8 * W)));
 typedef std::uint64_t vu64 __attribute__((vector_size(8 * W)));
-typedef std::int32_t vi32 __attribute__((vector_size(4 * W)));
 
 inline vd loadu(const double* p) {
   vd v;
@@ -282,7 +288,6 @@ inline vd splat(double x) { return ((vd){}) + x; }
 #define MSTS_DUP_IM(v) __builtin_shufflevector(v, v, 1, 1)
 #define MSTS_REV_C(v) (v)
 #define MSTS_SWAP_C2(v) (v)  // unused at W == 2 (fft_pass len==2 is scalar)
-#define MSTS_REV64(v) __builtin_shufflevector(v, v, 1, 0)
 static const vd kConjSign = {-1.0, 1.0};     // re gets -im*wi, im gets +re*wi
 static const vd kImNeg = {1.0, -1.0};        // complex conjugate
 static const vd kOddHalf = {0.5, -0.5};      // odd = (0.5 d.im, -0.5 d.re)
@@ -293,7 +298,6 @@ static const vd kBflySign = {1.0, 1.0};      // unused at W == 2
 #define MSTS_DUP_IM(v) __builtin_shufflevector(v, v, 1, 1, 3, 3)
 #define MSTS_REV_C(v) __builtin_shufflevector(v, v, 2, 3, 0, 1)
 #define MSTS_SWAP_C2(v) __builtin_shufflevector(v, v, 2, 3, 0, 1)
-#define MSTS_REV64(v) __builtin_shufflevector(v, v, 3, 2, 1, 0)
 static const vd kConjSign = {-1.0, 1.0, -1.0, 1.0};
 static const vd kImNeg = {1.0, -1.0, 1.0, -1.0};
 static const vd kOddHalf = {0.5, -0.5, 0.5, -0.5};
@@ -304,7 +308,6 @@ static const vd kBflySign = {1.0, 1.0, -1.0, -1.0};
 #define MSTS_DUP_IM(v) __builtin_shufflevector(v, v, 1, 1, 3, 3, 5, 5, 7, 7)
 #define MSTS_REV_C(v) __builtin_shufflevector(v, v, 6, 7, 4, 5, 2, 3, 0, 1)
 #define MSTS_SWAP_C2(v) __builtin_shufflevector(v, v, 2, 3, 0, 1, 6, 7, 4, 5)
-#define MSTS_REV64(v) __builtin_shufflevector(v, v, 7, 6, 5, 4, 3, 2, 1, 0)
 static const vd kConjSign = {-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0};
 static const vd kImNeg = {1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0};
 static const vd kOddHalf = {0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5};
@@ -465,24 +468,24 @@ void biquad_ff(const double* x, double b0, double b1, double b2, double* out,
   for (; i < n; ++i) out[i] = base::biquad_ff_step(x[i], x[i - 1], x[i - 2], b0, b1, b2);
 }
 
-std::int64_t fir_dot(const std::int32_t* coeffs, std::size_t taps,
-                     const std::int64_t* x) {
-  // Exact int64 arithmetic: identical to the scalar dot on every backend.
-  vi64 vacc = {};
-  std::size_t k = 0;
-  for (; k + W <= taps; k += W) {
-    vi32 c32;
-    std::memcpy(&c32, coeffs + k, sizeof(c32));
-    const vi64 c = __builtin_convertvector(c32, vi64);
-    // x[-(k) .. -(k+W-1)] reversed into ascending-lane order.
-    const vi64 xs = MSTS_REV64(
-        loadi64(x - static_cast<std::ptrdiff_t>(k + W - 1)));
-    vacc += c * xs;
+void fir_block(const std::int32_t* coeffs, std::size_t taps, const std::int64_t* x,
+               std::int64_t* y, std::size_t n) {
+  // W outputs at a time, the taps innermost. Exact int64 arithmetic: any
+  // summation order gives the scalar backend's sums.
+  std::size_t i = 0;
+  for (; i + W <= n; i += W) {
+    vi64 acc = {};
+    for (std::size_t k = 0; k < taps; ++k) {
+      acc += loadi64((x + i) - static_cast<std::ptrdiff_t>(k)) *
+             static_cast<std::int64_t>(coeffs[k]);
+    }
+    std::memcpy(y + i, &acc, sizeof(acc));
   }
-  std::int64_t acc = 0;
-  for (int l = 0; l < W; ++l) acc += vacc[l];
-  for (; k < taps; ++k) acc += coeffs[k] * x[-static_cast<std::ptrdiff_t>(k)];
-  return acc;
+  for (; i < n; ++i) {
+    std::int64_t acc = 0;
+    for (std::size_t k = 0; k < taps; ++k) acc += coeffs[k] * (x + i)[-static_cast<std::ptrdiff_t>(k)];
+    y[i] = acc;
+  }
 }
 
 void fault_eval(const SimOp* ops, std::size_t nops, std::uint64_t* values,
@@ -537,9 +540,12 @@ const Kernels kKernels = {
     rfft_combine,
     add_cosine,
     biquad_ff,
-    fir_dot,
+    fir_block,
+    adc_convert,
     fault_eval,
     lo_lanes,
+    amp_lanes,
+    mixer_lanes,
     lpf_lanes,
     draw_pairs,
 };

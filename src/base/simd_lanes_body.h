@@ -14,7 +14,14 @@
 // either walk; the one fused form the one-device code uses, biquad_ff's
 // feed-forward on the vector backends, is written out in base/chains.h and
 // called from both places. Every lane therefore rounds exactly as the
-// one-device walk does on the same backend.
+// one-device walk does on the same backend. The memoryless stages
+// (amp_lanes, mixer_lanes) evaluate base/chains.h's amp_apply and
+// mixer_apply, which analog::Amplifier and analog::Mixer call too.
+//
+// The ADC conversion (adc_convert) lives here as well, for the same
+// reason: it is one definition for both walks and every other caller,
+// MSTS_SIMD_WIDTH codes at a time. Its arithmetic is exact, so it matches
+// the scalar backend on every backend.
 
 #include <cmath>
 #include <cstdint>
@@ -98,7 +105,116 @@ void lpf_run(const LpfLanes& f, double* x, std::size_t n) {
   for (std::size_t i = 2; i < n; ++i) sample(i, std::integral_constant<int, 2>{});
 }
 
+// Lane l's bit of a kernel's `active` field as a vector mask.
+inline m4 lane_mask(unsigned active) {
+  m4 m;
+  for (std::size_t l = 0; l < K; ++l) m[l] = ((active >> l) & 1u) != 0 ? -1 : 0;
+  return m;
+}
+
+// A memoryless stage over n interleaved samples: out = f(x, deviate, i)
+// on the active lanes, where x is the shared stimulus sample or the lane's
+// own.
+template <class F>
+void memoryless_lanes(unsigned active, const double* in, bool shared, const double* noise,
+                      double* out, std::size_t n, F f) {
+  const m4 on = lane_mask(active);
+  const auto run = [&](auto shared_input) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const v4 x = shared_input ? splat4(in[i]) : load4(in + i * K);
+      const v4 y = f(x, load4(noise + i * K), i);
+      store4(out + i * K, on != 0 ? y : load4(out + i * K));
+    }
+  };
+  if (shared) {
+    run(std::true_type{});
+  } else {
+    run(std::false_type{});
+  }
+}
+
+// One ADC code (simd.h, adc_convert); false when (x + offset) * gain is
+// not finite. Rounding half away from zero is written out: truncate, then
+// step away from zero when the dropped fraction is at least one half. The
+// fraction is exact (|f| <= 2^19 after the clamp), so this equals llround.
+inline bool adc_code(const AdcTransfer& a, double x, std::int64_t& code) {
+  const double v = (x + a.offset_v) * a.gain;
+  if (!std::isfinite(v)) return false;
+  const double u = base::clamp_like_std(v / a.vref, -1.0, 1.0);
+  const auto top = static_cast<double>(a.inl_codes - 1);
+  const auto idx = static_cast<std::size_t>((u + 1.0) / 2.0 * top);
+  const double inl = a.inl[idx < a.inl_codes - 1 ? idx : a.inl_codes - 1];
+  const double f = base::clamp_like_std(v / a.lsb + inl, a.code_min, a.code_max);
+  const auto t = static_cast<std::int64_t>(f);
+  const double frac = f - static_cast<double>(t);
+  code = t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+  return true;
+}
+
 }  // namespace
+
+void amp_lanes(const AmpLanes& a, const double* in, bool shared, const double* noise,
+               double* out, std::size_t n) {
+  const v4 a1 = load4(a.a1), c2 = load4(a.c2), c3 = load4(a.c3), vsat = load4(a.vsat);
+  const v4 sigma = load4(a.noise_sigma), dc = load4(a.dc_offset_v);
+  memoryless_lanes(a.active, in, shared, noise, out, n, [&](v4 x, v4 dev, std::size_t) {
+    return base::amp_apply(x, dev, sigma, a1, c2, c3, vsat, dc);
+  });
+}
+
+void mixer_lanes(const MixerLanes& mx, const double* in, bool shared, const double* noise,
+                 const double* lo, double* out, std::size_t n) {
+  const v4 a1 = load4(mx.a1), c3 = load4(mx.c3), vsat = load4(mx.vsat);
+  const v4 leak = load4(mx.leak), sigma = load4(mx.noise_sigma);
+  memoryless_lanes(mx.active, in, shared, noise, out, n, [&](v4 x, v4 dev, std::size_t i) {
+    return base::mixer_apply(x, dev, load4(lo + i * K), sigma, a1, c3, vsat, leak);
+  });
+}
+
+std::size_t adc_convert(const AdcTransfer& a, const double* x, std::size_t step,
+                        std::size_t count, std::int64_t* out) {
+  std::size_t j = 0;
+#if MSTS_SIMD_WIDTH > 1
+  // W codes at a time, each operation as adc_code performs it. The INL
+  // position and the clamped code fit int32 (at most 2^20 codes), which
+  // every backend converts to and from double in vector registers.
+  constexpr std::size_t W = MSTS_SIMD_WIDTH;
+  typedef double vw __attribute__((vector_size(8 * W)));
+  typedef std::int64_t mw __attribute__((vector_size(8 * W)));
+  typedef std::int32_t iw __attribute__((vector_size(4 * W)));
+  const vw offset = vw{} + a.offset_v, gain = vw{} + a.gain, vref = vw{} + a.vref;
+  const vw lsb = vw{} + a.lsb, code_min = vw{} + a.code_min, code_max = vw{} + a.code_max;
+  const vw one = vw{} + 1.0, half = vw{} + 0.5;
+  const vw top = vw{} + static_cast<double>(a.inl_codes - 1);
+  const iw last = iw{} + static_cast<std::int32_t>(a.inl_codes - 1);
+  for (; j + W <= count; j += W) {
+    vw xv;
+    for (std::size_t w = 0; w < W; ++w) xv[w] = x[(j + w) * step];
+    const vw v = (xv + offset) * gain;
+    // v - v is 0 exactly when v is finite; otherwise adc_code below finds
+    // the sample.
+    const mw finite = (v - v) == 0.0;
+    bool all = true;
+    for (std::size_t w = 0; w < W; ++w) all = all && finite[w] != 0;
+    if (!all) break;
+    const vw u = base::clamp_like_std(v / vref, -one, one);
+    iw idx = __builtin_convertvector((u + one) / 2.0 * top, iw);
+    idx = idx < last ? idx : last;
+    vw inl;
+    for (std::size_t w = 0; w < W; ++w) inl[w] = a.inl[idx[w]];
+    const vw f = base::clamp_like_std(v / lsb + inl, code_min, code_max);
+    const iw t = __builtin_convertvector(f, iw);
+    const vw frac = f - __builtin_convertvector(t, vw);
+    // A true comparison is -1.
+    const mw code = __builtin_convertvector(t, mw) - (mw)(frac >= half) + (mw)(frac <= -half);
+    std::memcpy(out + j, &code, sizeof(code));
+  }
+#endif
+  for (; j < count; ++j) {
+    if (!adc_code(a, x[j * step], out[j])) return j;
+  }
+  return count;
+}
 
 void lo_lanes(LoLanes& lo, double* x, std::size_t n) {
   v4 pr, pi, rr, ri, extra, pn, amp;
@@ -159,7 +275,7 @@ void lo_lanes(LoLanes& lo, double* x, std::size_t n) {
 }
 
 void draw_pairs(std::uint64_t (*state)[4], const std::size_t* pairs, std::size_t lanes,
-                double* const* uv, double* const* s) {
+                double* const* uv, double* const* s, std::size_t stride) {
   // Every lane steps each round; a lane that has accepted its pairs keeps
   // its old state and writes nothing. The scalar backend runs this loop
   // too, on whatever vectors its baseline target has.
@@ -174,30 +290,49 @@ void draw_pairs(std::uint64_t (*state)[4], const std::size_t* pairs, std::size_t
     s3[l] = state[l][3];
     need[l] = static_cast<std::int64_t>(pairs[l]);
   }
-  for (;;) {
-    const m4 active = need > 0;
-    if ((active[0] | active[1] | active[2] | active[3]) == 0) break;
-    const u4 o0 = s0, o1 = s1, o2 = s2, o3 = s3;
+  // One candidate per lane: stores it (a rejected one goes to the slot the
+  // next candidate overwrites) and returns the acceptance mask.
+  const auto round = [&](m4 active) {
     const v4 unit_u = base::unit_from_bits<v4>(base::xoshiro_next(s0, s1, s2, s3));
     const v4 unit_v = base::unit_from_bits<v4>(base::xoshiro_next(s0, s1, s2, s3));
-    const u4 keep = (u4)active;
-    s0 = (s0 & keep) | (o0 & ~keep);
-    s1 = (s1 & keep) | (o1 & ~keep);
-    s2 = (s2 & keep) | (o2 & ~keep);
-    s3 = (s3 & keep) | (o3 & ~keep);
     v4 u, v;
     const v4 q = base::polar_candidate(unit_u, unit_v, u, v);
     const m4 accepted = ((q < 1.0) & (q != 0.0)) & active;
     if (uv != nullptr) {
       for (std::size_t l = 0; l < lanes; ++l) {
         if (active[l] == 0) continue;
-        uv[l][2 * k[l]] = u[l];
-        uv[l][2 * k[l] + 1] = v[l];
+        uv[l][2 * k[l] * stride] = u[l];
+        uv[l][(2 * k[l] + 1) * stride] = v[l];
         s[l][k[l]] = q[l];
         k[l] -= static_cast<std::size_t>(accepted[l]);  // true is -1
       }
     }
     need += accepted;
+  };
+  // Mask-free stretches: a round accepts at most one pair per lane, so
+  // while the requested lane with the fewest pairs to go needs r more,
+  // the next r rounds are active on every requested lane. They run without
+  // the keep mask and the state blend, so the state chain does not wait on
+  // the acceptance test. (An idle lane l >= lanes steps its zero state,
+  // which stays zero and never accepts.)
+  const m4 all = ~m4{};
+  for (;;) {
+    std::int64_t r = lanes > 0 ? need[0] : 0;
+    for (std::size_t l = 1; l < lanes; ++l) r = need[l] < r ? need[l] : r;
+    if (r <= 0) break;
+    for (; r > 0; --r) round(all);
+  }
+  // The tail: lanes that are done keep their state.
+  for (;;) {
+    const m4 active = need > 0;
+    if ((active[0] | active[1] | active[2] | active[3]) == 0) break;
+    const u4 o0 = s0, o1 = s1, o2 = s2, o3 = s3;
+    round(active);
+    const u4 keep = (u4)active;
+    s0 = (s0 & keep) | (o0 & ~keep);
+    s1 = (s1 & keep) | (o1 & ~keep);
+    s2 = (s2 & keep) | (o2 & ~keep);
+    s3 = (s3 & keep) | (o3 & ~keep);
   }
   for (std::size_t l = 0; l < lanes; ++l) {
     state[l][0] = s0[l];

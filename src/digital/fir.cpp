@@ -110,12 +110,10 @@ void fir_block_into(std::span<const std::int32_t> coeffs, int input_width,
     for (std::size_t k = 0; k <= i; ++k) acc += coeffs[k] * x[i - k];
     y[i] = acc;
   }
-  // Steady state: full-length dot product against the record itself, through
-  // the per-ISA kernel. Exact int64 arithmetic — identical on every backend.
-  const simd::Kernels& kern = simd::kernels();
-  for (std::size_t i = head; i < n; ++i) {
-    y[i] = kern.fir_dot(coeffs.data(), taps, x.data() + i);
-  }
+  // Steady state: full-length sums against the record itself, a block of
+  // outputs at a time through the per-ISA kernel. Exact int64 arithmetic —
+  // identical on every backend.
+  simd::kernels().fir_block(coeffs.data(), taps, x.data() + head, y.data() + head, n - head);
 }
 
 std::int64_t clamp_to_width(std::int64_t v, int width) {

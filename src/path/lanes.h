@@ -6,23 +6,31 @@
 // chains — the LO's jittered phasor and the LPF's biquad recurrence — each
 // bound by the latency of its own feedback, not by arithmetic. The lane
 // walk interleaves kLanes records sample by sample (x[i * kLanes + l]) and
-// runs those chains as per-ISA kernels with one vector lane per device
-// (simd::Kernels::lo_lanes, lpf_lanes), so kLanes chains advance in the
-// time of one. The stimulus is generated once per batch.
+// runs every per-sample stage as a per-ISA kernel with one vector lane per
+// device (simd::Kernels::amp_lanes, lo_lanes, mixer_lanes, lpf_lanes), so
+// kLanes chains advance in the time of one. The stimulus is generated once
+// per batch. Noise is drawn interleaved too: Rng::fill_normal_lanes writes
+// each lane's deviates at stride kLanes, the LO walk's straight into the LO
+// block, and the draw kernel runs the lanes' accept loops side by side
+// (mask-free while every lane still needs pairs). The ADC conversion and
+// the FIR run per lane, each through its vector kernel (adc_convert,
+// fir_block). What still runs lane by lane in scalar code is the deviates'
+// scale pass (one log per pair), a jitter-free LO's mixer and the clock
+// spur of an LPF stage.
 //
 // Every lane is bit-identical to the one-device run of its device: each
 // lane draws from its own stream in exactly the one-device order (a stage's
 // deviates for the whole record, stage after stage), each stage evaluates
-// the per-sample expression both walks share (analog::Amplifier::apply and
-// Mixer::apply, run lane after lane; base/chains.h for the kernels), and
-// neither walk's arithmetic is compiled with FP contraction. The
+// the per-sample expression both walks share (base/chains.h: the
+// amplifier's and mixer's memoryless forms, the phasor step, the biquad),
+// and neither walk's arithmetic is compiled with FP contraction. The
 // differential pair path_lanes_vs_one_device (check/kernel_checks.h) holds
 // this on every backend.
 //
 // Memory: the walk keeps one interleaved record (kLanes x the analog record)
-// plus one lane's contiguous record; noise is drawn in blocks. A mixer
-// stage draws its LO walk and its own noise block by block in step, so the
-// mixer's stream cursor starts where the LO's deviates end:
+// plus one lane's contiguous record; noise is drawn in interleaved blocks.
+// A mixer stage draws its LO walk and its own noise block by block in step,
+// so the mixer's stream cursor starts where the LO's deviates end:
 // Rng::skip_normal_lanes finds that position without evaluating a log.
 #pragma once
 
@@ -48,7 +56,7 @@ struct LaneWorkspace {
   /// an LPF: the walk adds it at the converted samples only).
   std::vector<double> wave;
   std::vector<double> record;  ///< One lane's contiguous record.
-  std::vector<double> block;   ///< kLanes noise blocks, then the LO's lane block.
+  std::vector<double> block;   ///< The interleaved noise block, then the LO's.
   std::vector<double> volts;   ///< Scratch for output_volts_into.
 };
 

@@ -53,10 +53,11 @@ void Rng::fill_normal(std::span<double> out) {
   if (i < out.size()) out[i] = normal();
 }
 
-void Rng::normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::size_t n) {
+void Rng::normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::size_t n,
+                       std::size_t stride) {
   // Per lane exactly fill_normal's steps: the cached deviate, whole pairs a
   // block at a time (drawn side by side, then scaled lane by lane), and an
-  // odd deviate from normal().
+  // odd deviate from normal(). Deviate j of a lane lands at out[j * stride].
   constexpr std::size_t L = simd::kLanes;
   constexpr std::size_t kPairs = kFillBlock / 2;
   const simd::Kernels& kern = simd::kernels();
@@ -88,19 +89,19 @@ void Rng::normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::siz
         pairs[l] = outs != nullptr ? std::min(left[l], kPairs) : left[l];
         any = any || pairs[l] > 0;
         std::copy(r[l]->s_, r[l]->s_ + 4, state[l]);
-        uv[l] = out[l] != nullptr ? out[l] + next[l] : nullptr;
+        uv[l] = out[l] != nullptr ? out[l] + next[l] * stride : nullptr;
         s[l] = s_block[l];
       }
       if (!any) break;
       kern.draw_pairs(state, pairs, lanes, outs != nullptr ? uv : nullptr,
-                      outs != nullptr ? s : nullptr);
+                      outs != nullptr ? s : nullptr, stride);
       for (std::size_t l = 0; l < lanes; ++l) {
         std::copy(state[l], state[l] + 4, r[l]->s_);
         if (out[l] != nullptr) {
           for (std::size_t p = 0; p < pairs[l]; ++p) {
             const double m = polar_scale(s_block[l][p]);
-            uv[l][2 * p] *= m;
-            uv[l][2 * p + 1] *= m;
+            uv[l][2 * p * stride] *= m;
+            uv[l][(2 * p + 1) * stride] *= m;
           }
         }
         next[l] += 2 * pairs[l];
@@ -110,20 +111,21 @@ void Rng::normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::siz
     for (std::size_t l = 0; l < lanes; ++l) {
       if (next[l] < n) {
         const double d = r[l]->normal();
-        if (out[l] != nullptr) out[l][next[l]] = d;
+        if (out[l] != nullptr) out[l][next[l] * stride] = d;
       }
     }
   }
 }
 
 void Rng::fill_normal_lanes(std::span<Rng* const> rngs, std::span<double* const> outs,
-                            std::size_t n) {
+                            std::size_t n, std::size_t stride) {
   MSTS_REQUIRE(outs.size() == rngs.size(), "one output per generator");
-  normal_lanes(rngs, outs.data(), n);
+  MSTS_REQUIRE(stride >= 1, "output stride must be >= 1");
+  normal_lanes(rngs, outs.data(), n, stride);
 }
 
 void Rng::skip_normal_lanes(std::span<Rng* const> rngs, std::size_t n) {
-  normal_lanes(rngs, nullptr, n);
+  normal_lanes(rngs, nullptr, n, 1);
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t bound) {

@@ -8,7 +8,11 @@
 //
 // The raw generator and the uniform/normal converters are defined inline.
 // Noisy transient stages draw a whole record of deviates with fill_normal(),
-// which returns exactly what per-sample normal() calls would.
+// which returns exactly what per-sample normal() calls would. The lane walk
+// (path/lanes.h) draws kLanes streams side by side with fill_normal_lanes()
+// straight into its interleaved records, and positions a later stage's
+// stream cursor with skip_normal_lanes(); both leave every stream exactly
+// where its own normal() calls would.
 #pragma once
 
 #include <bit>
@@ -71,12 +75,14 @@ class Rng {
   /// Deviates per fill_normal() block.
   static constexpr std::size_t kFillBlock = 512;
 
-  /// fill_normal of outs[l] (n deviates each) from *rngs[l] for every l,
-  /// simd::kLanes generators at a time with their draw-and-accept loops
-  /// side by side (Kernels::draw_pairs): each output and generator end
-  /// exactly as the generator's own fill_normal would leave them.
+  /// fill_normal of n deviates from *rngs[l] for every l, simd::kLanes
+  /// generators at a time with their draw-and-accept loops side by side
+  /// (Kernels::draw_pairs): deviate j lands at outs[l][j * stride], and
+  /// each output and generator end exactly as the generator's own
+  /// fill_normal would leave them. With stride kLanes and outs[l] = x + l
+  /// the deviates land interleaved, as the lane walk's records are.
   static void fill_normal_lanes(std::span<Rng* const> rngs, std::span<double* const> outs,
-                                std::size_t n);
+                                std::size_t n, std::size_t stride = 1);
 
   /// Leaves every generator of `rngs`, cached deviate included, where n
   /// back-to-back normal() calls would, without producing the deviates:
@@ -137,7 +143,8 @@ class Rng {
   void apply_jump_poly(const std::uint64_t (&poly)[4]);
 
   // The lane forms above: outs == nullptr skips.
-  static void normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::size_t n);
+  static void normal_lanes(std::span<Rng* const> rngs, double* const* outs, std::size_t n,
+                           std::size_t stride);
 
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;
