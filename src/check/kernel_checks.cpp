@@ -4,9 +4,12 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "analog/adc.h"
 #include "analog/lpf.h"
 #include "base/simd.h"
 #include "base/units.h"
@@ -14,6 +17,7 @@
 #include "check/yield_quadrature.h"
 #include "digital/fault_sim.h"
 #include "digital/faults.h"
+#include "digital/fir.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/oscillator.h"
@@ -853,6 +857,130 @@ Report check_simd_fault_sim_wide_vs_64(const RunOptions& opts) {
       Tolerance::bit_identical(), opts);
 }
 
+namespace {
+
+struct AdcFirCase {
+  analog::AdcParams params;  ///< Exact offset and gain; the DNL seed is drawn.
+  std::size_t stride = 1;    ///< 1, or kLanes as the lane walk reads.
+  std::size_t decimation = 1;
+  std::vector<double> samples;  ///< The converted points' inputs.
+  bool ties = false;            ///< No INL, offset or gain: exact half-LSB ties.
+  std::vector<std::int32_t> taps;
+};
+
+AdcFirCase random_adc_fir_case(stats::Rng& rng) {
+  AdcFirCase c;
+  c.params.bits = 4 + static_cast<int>(rng.uniform_int(17));
+  c.params.vref = rng.uniform(0.25, 2.0);
+  c.ties = rng.uniform_int(3) == 0;
+  const auto exact = [](double v) { return stats::Uncertain::exact(v); };
+  if (c.ties) {
+    // lsb = 2 vref / 2^bits is then a power of two, so (k + 1/2) * lsb is
+    // exact and converts to a code_f with fraction exactly one half.
+    c.params.vref = 1.0;
+    c.params.offset_error_v = exact(0.0);
+    c.params.gain_error = exact(0.0);
+    c.params.inl_peak_lsb = exact(0.0);
+    c.params.dnl_sigma_lsb = exact(0.0);
+  } else {
+    c.params.offset_error_v = exact(rng.uniform(-0.05, 0.05));
+    c.params.gain_error = exact(rng.uniform(-0.05, 0.05));
+    c.params.inl_peak_lsb = exact(rng.uniform(-2.0, 2.0));
+    c.params.dnl_sigma_lsb = exact(rng.uniform(0.0, 1.0));
+  }
+  c.stride = rng.uniform_int(2) == 0 ? 1 : path::kLanes;
+  c.decimation = 1 + rng.uniform_int(16);
+  const double lsb = 2.0 * c.params.vref / static_cast<double>(1ll << c.params.bits);
+  const auto half_codes = static_cast<double>(1ll << (c.params.bits - 1));
+  const std::size_t count = 1 + rng.uniform_int(300);
+  for (std::size_t j = 0; j < count; ++j) {
+    const double u = rng.uniform();
+    double x;
+    if (u < 0.1) {
+      x = rng.uniform(1.0, 4.0) * c.params.vref;  // beyond the upper rail
+    } else if (u < 0.2) {
+      x = -rng.uniform(1.0, 4.0) * c.params.vref;  // beyond the lower rail
+    } else if (u < 0.25) {
+      x = rng.uniform_int(2) == 0 ? 1e300 : -1e300;  // v / lsb overflows
+    } else if (u < 0.3) {
+      x = rng.uniform_int(2) == 0 ? 0.0 : -0.0;
+    } else if (c.ties || u < 0.4) {
+      // A half-LSB point, k + 1/2 codes from zero, either sign.
+      const double k = std::floor(rng.uniform(-half_codes - 1.0, half_codes + 1.0));
+      x = (k + 0.5) * lsb;
+    } else {
+      x = rng.uniform(-1.1, 1.1) * c.params.vref;
+    }
+    c.samples.push_back(x);
+  }
+  // Now and then a non-finite point, which must throw on both sides.
+  if (rng.uniform_int(6) == 0) {
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    c.samples[rng.uniform_int(count)] = bad[rng.uniform_int(3)];
+  }
+  const std::size_t ntaps = 1 + rng.uniform_int(40);
+  for (std::size_t k = 0; k < ntaps; ++k) {
+    c.taps.push_back(static_cast<std::int32_t>(rng.uniform_int(1u << 17)) - (1 << 16));
+  }
+  return c;
+}
+
+// Converts the case's points, laid out at every decimation-th sample of a
+// strided record whose other slots hold NaN (read one and the conversion
+// throws), then filters the codes. A throw yields a marker and the codes
+// left in the output.
+std::vector<double> adc_fir_trace(const AdcFirCase& c, stats::Rng& rng) {
+  const analog::Adc adc = analog::Adc::sampled(c.params, rng);
+  const std::size_t n = (c.samples.size() - 1) * c.decimation + 1;
+  std::vector<double> record(n * c.stride, std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t j = 0; j < c.samples.size(); ++j) {
+    record[j * c.decimation * c.stride] = c.samples[j];
+  }
+  std::vector<std::int64_t> codes;
+  std::vector<double> out;
+  try {
+    adc.digitize_strided(record.data(), n, c.stride, c.decimation, codes);
+  } catch (const std::invalid_argument&) {
+    out.push_back(-1.0);
+    for (std::int64_t v : codes) out.push_back(static_cast<double>(v));
+    return out;
+  }
+  std::vector<std::int64_t> filtered;
+  digital::fir_block_into(c.taps, c.params.bits, codes, filtered);
+  for (std::int64_t v : codes) out.push_back(static_cast<double>(v));
+  for (std::int64_t v : filtered) out.push_back(static_cast<double>(v));
+  return out;
+}
+
+}  // namespace
+
+Report check_simd_adc_fir_vs_scalar(const RunOptions& opts) {
+  using Case = AdcFirCase;
+  return differential<Case>(
+      "simd_adc_fir_vs_scalar",
+      [](stats::Rng& rng) { return random_adc_fir_case(rng); },
+      [](const Case& c, stats::Rng& rng) { return adc_fir_trace(c, rng); },
+      [](const Case& c, stats::Rng& rng) {
+        simd::ScopedIsa scalar(simd::Isa::kScalar);
+        return adc_fir_trace(c, rng);
+      },
+      [](const Case& c, obs::json::Writer& w) {
+        w.kv("bits", c.params.bits);
+        w.kv("vref", c.params.vref);
+        w.kv("offset_error_v", c.params.offset_error_v.nominal);
+        w.kv("gain_error", c.params.gain_error.nominal);
+        w.kv("ties", static_cast<std::uint64_t>(c.ties));
+        w.kv("stride", static_cast<std::uint64_t>(c.stride));
+        w.kv("decimation", static_cast<std::uint64_t>(c.decimation));
+        w.kv("points", static_cast<std::uint64_t>(c.samples.size()));
+        w.kv("taps", static_cast<std::uint64_t>(c.taps.size()));
+      },
+      // Exact arithmetic on both sides: codes and sums agree bit for bit.
+      Tolerance::bit_identical(), opts);
+}
+
 std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
   return {
       check_fft_plan_vs_naive_dft(opts),
@@ -869,6 +997,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_simd_biquad_vs_scalar(opts),
       check_simd_add_cosine_vs_scalar(opts),
       check_simd_fault_sim_wide_vs_64(opts),
+      check_simd_adc_fir_vs_scalar(opts),
   };
 }
 

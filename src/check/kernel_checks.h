@@ -61,12 +61,17 @@ Report check_path_lanes_vs_one_device(const RunOptions& opts = {});
 //   * add_cosine resyncs both backends to the same double-double carrier
 //     every kCosineResyncPeriod samples, bounding the gap near one ulp;
 //   * fault simulation is exact logic: detection verdicts and the good
-//     waveform must be bit-identical between 64-way and 64*fault_words-way.
+//     waveform must be bit-identical between 64-way and 64*fault_words-way;
+//   * ADC conversion and the integer FIR are exact: codes and filter
+//     outputs must be bit-identical, over random offset, gain error and
+//     4-20 bits, strides 1 and kLanes, decimations 1-16, inputs beyond both
+//     rails and exact half-LSB ties; a non-finite point throws on both.
 Report check_simd_window_vs_scalar(const RunOptions& opts = {});
 Report check_simd_rfft_vs_scalar(const RunOptions& opts = {});
 Report check_simd_biquad_vs_scalar(const RunOptions& opts = {});
 Report check_simd_add_cosine_vs_scalar(const RunOptions& opts = {});
 Report check_simd_fault_sim_wide_vs_64(const RunOptions& opts = {});
+Report check_simd_adc_fir_vs_scalar(const RunOptions& opts = {});
 
 /// Runs every pair above with the same options.
 std::vector<Report> run_all_kernel_checks(const RunOptions& opts = {});

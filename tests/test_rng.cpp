@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "base/chains.h"
+#include "base/simd.h"
+
 namespace msts::stats {
 namespace {
 
@@ -254,6 +257,126 @@ TEST(Rng, SkipNormalLanesMatchesRepeatedNormal) {
       for (std::size_t i = 0; i < n; ++i) (void)alone[l].normal();
       EXPECT_TRUE(lanes[l] == alone[l]) << "n=" << n << " lane " << l;
       EXPECT_EQ(lanes[l].normal(), alone[l].normal());
+    }
+  }
+}
+
+TEST(Rng, StridedFillNormalLanesMatchesStrideOne) {
+  // A full batch and a partial one, mixed entry states: deviate j of
+  // output l lands at rec[j * stride + l], and no other slot is written.
+  for (const std::size_t stride : {simd::kLanes, std::size_t{7}}) {
+    for (const std::size_t n : {0, 1, 2, 511, 512, 513, 1500}) {
+      for (const std::size_t lanes : {std::size_t{2}, simd::kLanes}) {
+        std::vector<Rng> strided, plain;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          Rng r(31 * n + l + stride);
+          if (l % 3 == 0) (void)r.normal();
+          strided.push_back(r);
+          plain.push_back(r);
+        }
+        std::vector<double> rec(n * stride, -7.0);
+        std::vector<std::vector<double>> want(lanes, std::vector<double>(n));
+        std::vector<Rng*> sp, pp;
+        std::vector<double*> so, po;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          sp.push_back(&strided[l]);
+          pp.push_back(&plain[l]);
+          so.push_back(rec.data() + l);
+          po.push_back(want[l].data());
+        }
+        Rng::fill_normal_lanes(sp, so, n, stride);
+        Rng::fill_normal_lanes(pp, po, n);
+        for (std::size_t j = 0; j < n; ++j) {
+          for (std::size_t l = 0; l < stride; ++l) {
+            const double got = rec[j * stride + l];
+            if (l >= lanes) {
+              ASSERT_EQ(got, -7.0) << "slot written: deviate " << j << " slot " << l;
+              continue;
+            }
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want[l][j]))
+                << "stride " << stride << " n=" << n << " lane " << l << " deviate " << j;
+          }
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_TRUE(strided[l] == plain[l]) << "n=" << n << " lane " << l;
+        }
+      }
+    }
+  }
+}
+
+// One lane's polar loop, the one Rng::normal runs, from a raw state: the
+// first `pairs` accepted candidates (u, v) and their s, and the end state.
+struct LaneDraw {
+  std::uint64_t state[4];
+  std::vector<double> uv, s;
+};
+
+LaneDraw polar_loop(const std::uint64_t (&start)[4], std::size_t pairs) {
+  LaneDraw d;
+  std::copy(start, start + 4, d.state);
+  std::uint64_t* st = d.state;
+  while (d.s.size() < pairs) {
+    const double unit_u = base::unit_from_bits<double>(base::xoshiro_next(st[0], st[1], st[2], st[3]));
+    const double unit_v = base::unit_from_bits<double>(base::xoshiro_next(st[0], st[1], st[2], st[3]));
+    double u, v;
+    const double q = base::polar_candidate(unit_u, unit_v, u, v);
+    if (q < 1.0 && q != 0.0) {
+      d.uv.push_back(u);
+      d.uv.push_back(v);
+      d.s.push_back(q);
+    }
+  }
+  return d;
+}
+
+TEST(Rng, DrawPairsUnevenRequestsMatchEachLanesOwnLoop) {
+  // Requests far apart (0, 1, 511, 512) leave a long masked tail after the
+  // mask-free rounds; each lane must still step exactly its own rounds. On
+  // every backend, with outputs at stride 1 and kLanes and without.
+  constexpr std::size_t K = simd::kLanes;
+  const std::size_t requests[][K] = {{0, 1, 511, 512}, {512, 511, 1, 0}, {3, 300, 3, 301}};
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    if (!simd::isa_compiled(isa) || !simd::isa_supported(isa)) continue;
+    const simd::Kernels& kern = simd::kernels_for(isa);
+    for (const auto& pairs : requests) {
+      for (const std::size_t lanes : {std::size_t{3}, K}) {
+        std::uint64_t start[K][4];
+        Rng seeder(lanes * 7919 + pairs[0]);
+        for (auto& st : start) {
+          for (std::uint64_t& w : st) w = seeder.next_u64();
+        }
+        std::vector<LaneDraw> want;
+        for (std::size_t l = 0; l < lanes; ++l) want.push_back(polar_loop(start[l], pairs[l]));
+        for (const std::size_t stride : {std::size_t{0}, std::size_t{1}, K}) {
+          // stride 0 stands for no outputs: the skip.
+          std::uint64_t state[K][4];
+          std::copy(&start[0][0], &start[0][0] + 4 * K, &state[0][0]);
+          std::vector<std::vector<double>> uv(K), s(K);
+          double* uvp[K];
+          double* sp[K];
+          for (std::size_t l = 0; l < K; ++l) {
+            uv[l].assign(2 * 512 * K, 0.0);
+            s[l].assign(512, 0.0);
+            uvp[l] = uv[l].data();
+            sp[l] = s[l].data();
+          }
+          kern.draw_pairs(state, pairs, lanes, stride == 0 ? nullptr : uvp,
+                          stride == 0 ? nullptr : sp, stride == 0 ? 1 : stride);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            const std::string where = std::string(simd::isa_name(isa)) + " lane " +
+                                      std::to_string(l) + " stride " + std::to_string(stride);
+            for (int w = 0; w < 4; ++w) EXPECT_EQ(state[l][w], want[l].state[w]) << where;
+            if (stride == 0) continue;
+            for (std::size_t k = 0; k < pairs[l]; ++k) {
+              ASSERT_EQ(uv[l][2 * k * stride], want[l].uv[2 * k]) << where << " pair " << k;
+              ASSERT_EQ(uv[l][(2 * k + 1) * stride], want[l].uv[2 * k + 1]) << where;
+              ASSERT_EQ(s[l][k], want[l].s[k]) << where << " pair " << k;
+            }
+          }
+        }
+      }
     }
   }
 }
