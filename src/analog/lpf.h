@@ -5,28 +5,27 @@
 // leaks clock spurs into the output ("tones at the integer multiples of the
 // clock frequency", sec. 4.2), which the signal-attribute model must track so
 // they are not mistaken for fault effects.
+//
+// One designer (design_butterworth) gives the cascade for the small-signal
+// response and for the transient, and one kernel loop runs the transient
+// (simd::Kernels::lpf_record here, lpf_lanes in the lane walk; see
+// base/simd_lanes_body.h).
 #pragma once
 
 #include <complex>
-#include <vector>
 
 #include "analog/signal.h"
+#include "base/simd.h"
 #include "stats/rng.h"
 #include "stats/uncertain.h"
 
 namespace msts::analog {
 
-/// One second-order IIR section (RBJ low-pass form, normalised a0 = 1).
-struct Biquad {
-  double b0 = 1.0, b1 = 0.0, b2 = 0.0;
-  double a1 = 0.0, a2 = 0.0;
-};
-
-/// Designs an RBJ low-pass biquad for cutoff fc at rate fs with quality Q.
-Biquad design_lowpass_biquad(double fc, double fs, double q);
-
-/// Butterworth section Q values for an even filter order.
-std::vector<double> butterworth_qs(int order);
+/// The Butterworth cascade of an even order from 2 to
+/// 2 * simd::LpfCascade::kMaxSections at rate fs: one RBJ low-pass biquad
+/// per Butterworth section Q, and the linear pass-band gain.
+simd::LpfCascade design_butterworth(double cutoff_hz, double passband_gain_db, int order,
+                                    double fs);
 
 /// Small-signal response of a Butterworth biquad cascade at one rate. The
 /// sections are designed once, at construction, so evaluating many
@@ -43,8 +42,7 @@ class LpfResponse {
 
  private:
   double fs_;
-  double gain_;
-  std::vector<Biquad> sections_;
+  simd::LpfCascade cascade_;
 };
 
 /// Datasheet-style filter description.
@@ -72,14 +70,11 @@ class LowPassFilter {
   /// process() into a caller-owned buffer (resized; capacity reused).
   void process_into(const Signal& in, Signal& out) const;
 
-  /// What process() runs at rate fs: the biquad sections, the linear
-  /// pass-band gain and the clock spur's phase step per sample. The lane
+  /// What process() runs at rate fs: the cascade (biquad sections and
+  /// pass-band gain) and the clock spur's phase step per sample. The lane
   /// walk (path/lanes.h) runs the same design.
   struct Design {
-    static constexpr std::size_t kMaxSections = 8;
-    Biquad sections[kMaxSections];
-    std::size_t count = 0;
-    double gain = 1.0;
+    simd::LpfCascade cascade;
     double spur_omega = 0.0;
   };
   Design design(double fs) const;

@@ -1,19 +1,21 @@
 // The per-sample expressions of the transient stages, defined once.
 //
 // Two walks evaluate them: the one-device walk (dsp::PhasorOscillator for
-// the LO, analog::LowPassFilter and the biquad_ff kernel for the filter,
-// analog::Amplifier and analog::Mixer for the memoryless stages) and the
-// lane kernels (base/simd_lanes_body.h), which run kLanes devices
+// the LO, analog::Amplifier and analog::Mixer for the memoryless stages)
+// and the lane kernels (base/simd_lanes_body.h), which run kLanes devices
 // side by side with one vector lane each. Both call the functions below,
 // templated on the value type (double, or a vector of lane values), so
 // every lane computes the same expression tree as the one-device code.
+// The filter goes further: both walks run one cascade loop (lpf_run in
+// base/simd_lanes_body.h), instantiated on one record and on kLanes, and
+// it is the only caller of the biquad forms at the end of this file.
 //
 // Expression trees are only half the contract: a compiler that contracts
 // a * b + c into one FMA changes the rounding. The one-device chains are
 // compiled without FMA contraction, and so are the lane kernels. The one
-// fused form the one-device code does use — the feed-forward half of the
-// vector backends' biquad_ff — is written out with fused_mul_add, so it
-// rounds the same under any contraction setting.
+// fused form either walk uses, the LPF's feed-forward half on the vector
+// backends, is written out with fused_mul_add, so it rounds the same under
+// any contraction setting.
 #pragma once
 
 #include <cmath>
@@ -250,7 +252,7 @@ inline V mixer_apply(V rf, V deviate, V lo, V noise_sigma, V a1, V c3, V vsat, V
 }
 
 // ---------------------------------------------------------------------------
-// Biquad section (analog::LowPassFilter).
+// Biquad section (analog::LowPassFilter, through lpf_run).
 // ---------------------------------------------------------------------------
 
 /// Direct-form-I section output, the scalar backend's form.

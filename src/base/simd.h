@@ -17,15 +17,17 @@
 //    (apply_window) are bit-identical across every backend;
 //  * the integer FIR (fir_block) and the ADC conversion (adc_convert) are
 //    exact, so bit-identical across every backend too;
-//  * floating-point reassociating kernels (fft_pass, rfft_combine,
-//    biquad_ff) carry documented drift tolerances vs the forced scalar
-//    backend;
+//  * floating-point reassociating kernels (fft_pass, rfft_combine) carry
+//    documented drift tolerances vs the forced scalar backend, and so does
+//    the LPF cascade (lpf_record, lpf_lanes), whose vector backends fuse
+//    the feed-forward half (the simd_biquad_vs_scalar pair);
 //  * add_cosine keeps the kResyncPeriod double-double carrier contract at
 //    every lane width, so the 1e-12 / 1M-sample oscillator drift bound holds
 //    on all backends;
 //  * the lane kernels (lo_lanes, lpf_lanes, amp_lanes, mixer_lanes,
 //    draw_pairs) are bit-identical, lane by lane, to the one-device code on
-//    the same backend (the path_lanes_vs_one_device pair).
+//    the same backend (the path_lanes_vs_one_device pair); lpf_lanes and
+//    lpf_record are one loop, instantiated for kLanes records and for one.
 //
 // The scalar backend reproduces the pre-SIMD arithmetic bit for bit, so
 // MSTS_SIMD=scalar is both the portability fallback and the golden reference.
@@ -84,14 +86,21 @@ struct AdcTransfer {
   std::size_t inl_codes = 0;              ///< Entries of inl (2^bits).
 };
 
-/// A biquad cascade and gain per lane for Kernels::lpf_lanes.
-struct LpfLanes {
+/// One second-order IIR section, normalised a0 = 1. The default passes
+/// its input through.
+struct Biquad {
+  double b0 = 1.0, b1 = 0.0, b2 = 0.0;
+  double a1 = 0.0, a2 = 0.0;
+};
+
+/// A biquad cascade and its linear pass-band gain, as
+/// analog::design_butterworth designs it: what Kernels::lpf_record runs on
+/// one record and Kernels::lpf_lanes on each lane.
+struct LpfCascade {
   static constexpr std::size_t kMaxSections = 8;
-  std::size_t sections = 0;
-  double b0[kMaxSections][kLanes] = {}, b1[kMaxSections][kLanes] = {},
-         b2[kMaxSections][kLanes] = {};
-  double a1[kMaxSections][kLanes] = {}, a2[kMaxSections][kLanes] = {};
-  double gain[kLanes] = {};
+  Biquad sections[kMaxSections];
+  std::size_t count = 0;
+  double gain = 1.0;
 };
 
 /// Backends the dispatcher can select. kScalar is always compiled; the
@@ -123,9 +132,6 @@ struct Kernels {
   /// machines per gate evaluation): 1 scalar, 4 AVX2 (256-way), 8 AVX-512
   /// (512-way), 2 NEON (128-way).
   int fault_words;
-  /// Independent phasor lanes add_cosine runs (4 scalar — the pre-SIMD
-  /// arrangement — else 2 * f64_width).
-  int cosine_lanes;
 
   /// out[i] = x[i] * w[i]. Element-wise product only: bit-identical to the
   /// scalar loop on every backend.
@@ -143,15 +149,20 @@ struct Kernels {
   void (*rfft_combine)(const double* z, const double* tw, double* out,
                        std::size_t m);
 
-  /// dst[i] += amp * cos(omega * i + phase), `cosine_lanes` independent
-  /// resynced phasors (see dsp/oscillator.h for the drift contract).
+  /// dst[i] += amp * cos(omega * i + phase), independent resynced phasors
+  /// (4 on the scalar backend, else 2 * f64_width; see dsp/oscillator.h for
+  /// the drift contract).
   void (*add_cosine)(double* dst, std::size_t n, double omega, double phase,
                      double amp);
 
-  /// Feed-forward biquad half: out[i] = b0*x[i] + b1*x[i-1] + b2*x[i-2] with
-  /// x[-1] = x[-2] = 0. The recurrence half stays with the caller.
-  void (*biquad_ff)(const double* x, double b0, double b1, double b2,
-                    double* out, std::size_t n);
+  /// The biquad cascade f and its pass-band gain over one record of n
+  /// samples from zero state (in may equal out): analog::LowPassFilter's
+  /// filtering, the clock spur aside. Every section runs per sample in one
+  /// sweep, as base::biquad_direct on the scalar backend and as the fused
+  /// feed-forward (base::biquad_ff_*) then base::biquad_recur on the vector
+  /// backends.
+  void (*lpf_record)(const LpfCascade& f, const double* in, double* out,
+                     std::size_t n);
 
   /// Integer FIR over a block: y[i] = sum_k coeffs[k] * x[i - k] for
   /// i < n, with x[1 - taps .. n) readable. Exact int64 arithmetic, so
@@ -198,12 +209,12 @@ struct Kernels {
                       const double* noise, const double* lo, double* out,
                       std::size_t n);
 
-  /// Biquad cascade and pass-band gain of kLanes filters over a whole
-  /// interleaved record of n samples, in place, starting from zero state:
-  /// each lane equals analog::LowPassFilter's filtering on this backend
-  /// (the direct form on the scalar backend, biquad_ff's fused feed-forward
-  /// plus the recurrence on the vector backends).
-  void (*lpf_lanes)(const LpfLanes& lpf, double* x, std::size_t n);
+  /// lpf_record on kLanes interleaved records of n samples, in place: lane
+  /// l runs cascade lanes[l] (kLanes of them; every lane runs lanes[0].count
+  /// sections, and an unused lane's default ones pass its samples through)
+  /// and equals lpf_record on its own record, bit for bit. The two are one
+  /// loop (base/simd_lanes_body.h).
+  void (*lpf_lanes)(const LpfCascade* lanes, double* x, std::size_t n);
 
   /// Runs the polar method's draw-and-accept loop on `lanes` (<= kLanes)
   /// xoshiro256++ states side by side until lane l has accepted pairs[l]

@@ -7,21 +7,22 @@
 //   #include "base/simd_lanes_body.h"
 //
 // which build with their backend's ISA flags plus -ffp-contract=off. The
-// one-device chains these kernels reproduce (dsp::PhasorOscillator,
-// analog::LowPassFilter's recurrence) are compiled with -ffp-contract=off
-// too (src/analog, src/dsp), and stats::Rng's polar candidate is written to
-// round the same under any setting (base/chains.h), so no product fuses in
-// either walk; the one fused form the one-device code uses, biquad_ff's
-// feed-forward on the vector backends, is written out in base/chains.h and
-// called from both places. Every lane therefore rounds exactly as the
-// one-device walk does on the same backend. The memoryless stages
-// (amp_lanes, mixer_lanes) evaluate base/chains.h's amp_apply and
-// mixer_apply, which analog::Amplifier and analog::Mixer call too.
+// one-device chains these kernels reproduce (dsp::PhasorOscillator) are
+// compiled with -ffp-contract=off too (src/analog, src/dsp), and
+// stats::Rng's polar candidate is written to round the same under any
+// setting (base/chains.h), so no product fuses in either walk; the one
+// fused form, the LPF's feed-forward on the vector backends, is written out
+// in base/chains.h. Every lane therefore rounds exactly as the one-device
+// walk does on the same backend. The memoryless stages (amp_lanes,
+// mixer_lanes) evaluate base/chains.h's amp_apply and mixer_apply, which
+// analog::Amplifier and analog::Mixer call too.
 //
-// The ADC conversion (adc_convert) lives here as well, for the same
-// reason: it is one definition for both walks and every other caller,
-// MSTS_SIMD_WIDTH codes at a time. Its arithmetic is exact, so it matches
-// the scalar backend on every backend.
+// Two kernels live here for both walks rather than for the lanes alone.
+// The LPF cascade is one loop, lpf_run, instantiated on kLanes interleaved
+// records (lpf_lanes) and on one contiguous record (lpf_record, which
+// analog::LowPassFilter calls). The ADC conversion (adc_convert) runs
+// MSTS_SIMD_WIDTH codes at a time for every caller; its arithmetic is
+// exact, so it matches the scalar backend on every backend.
 
 #include <cmath>
 #include <cstdint>
@@ -51,38 +52,59 @@ inline v4 load4(const double* p) {
 inline void store4(double* p, v4 v) { std::memcpy(p, &v, sizeof(v)); }
 inline v4 splat4(double x) { return v4{x, x, x, x}; }
 
-// One section's coefficients, one vector lane per device.
+// The value `get` reads from each cascade of f, one vector lane per cascade
+// (V double: the one cascade's).
+template <class V, class Get>
+V per_cascade(const LpfCascade* f, Get get) {
+  if constexpr (sizeof(V) == sizeof(double)) {
+    return get(f[0]);
+  } else {
+    V v;
+    for (std::size_t l = 0; l < K; ++l) v[l] = get(f[l]);
+    return v;
+  }
+}
+
+// One section's coefficients, one vector lane per cascade.
+template <class V>
 struct Section {
-  v4 b0, b1, b2, a1, a2;
+  V b0, b1, b2, a1, a2;
 };
 
 // The cascade over a whole record from zero state, S sections (S == 0:
-// the section count is read at run time).
-template <std::size_t S>
-void lpf_run(const LpfLanes& f, double* x, std::size_t n) {
-  constexpr std::size_t kMax = LpfLanes::kMaxSections;
-  const std::size_t sections = S != 0 ? S : f.sections;
-  Section q[S != 0 ? S : kMax];
-  v4 x1[S != 0 ? S : kMax], x2[S != 0 ? S : kMax];
-  v4 y1[S != 0 ? S : kMax], y2[S != 0 ? S : kMax];
+// the section count is read at run time). V is double for one contiguous
+// record, v4 for kLanes records interleaved sample by sample. Each sample
+// is read before it is written, so in may equal out.
+template <class V, std::size_t S>
+void lpf_run(const LpfCascade* f, const double* in, double* out, std::size_t n) {
+  constexpr std::size_t kMax = LpfCascade::kMaxSections;
+  constexpr std::size_t L = sizeof(V) / sizeof(double);
+  const std::size_t sections = S != 0 ? S : f[0].count;
+  Section<V> q[S != 0 ? S : kMax];
+  V x1[S != 0 ? S : kMax], x2[S != 0 ? S : kMax];
+  V y1[S != 0 ? S : kMax], y2[S != 0 ? S : kMax];
   for (std::size_t s = 0; s < sections; ++s) {
-    q[s] = {load4(f.b0[s]), load4(f.b1[s]), load4(f.b2[s]), load4(f.a1[s]),
-            load4(f.a2[s])};
-    x1[s] = x2[s] = y1[s] = y2[s] = v4{};
+    const auto coeff = [&](double Biquad::*c) {
+      return per_cascade<V>(f, [&](const LpfCascade& g) { return g.sections[s].*c; });
+    };
+    q[s] = {coeff(&Biquad::b0), coeff(&Biquad::b1), coeff(&Biquad::b2),
+            coeff(&Biquad::a1), coeff(&Biquad::a2)};
+    x1[s] = x2[s] = y1[s] = y2[s] = V{};
   }
-  const v4 gain = load4(f.gain);
+  const V gain = per_cascade<V>(f, [](const LpfCascade& g) { return g.gain; });
   // Start 0 and 1 are a record's first two samples, 2 every later one.
   auto sample = [&](std::size_t i, auto start) {
-    v4 v = load4(x + i * K);
+    V v;
+    std::memcpy(&v, in + i * L, sizeof(v));
     for (std::size_t s = 0; s < sections; ++s) {
 #if MSTS_SIMD_WIDTH == 1
       (void)start;
-      const v4 y = base::biquad_direct(v, x1[s], x2[s], y1[s], y2[s], q[s].b0, q[s].b1,
-                                       q[s].b2, q[s].a1, q[s].a2);
+      const V y = base::biquad_direct(v, x1[s], x2[s], y1[s], y2[s], q[s].b0, q[s].b1,
+                                      q[s].b2, q[s].a1, q[s].a2);
 #else
-      // biquad_ff treats the samples before the record as absent, not as
-      // zeros: its first two outputs are the two-term forms.
-      v4 ff;
+      // The samples before the record are absent, not zeros: the first two
+      // feed-forward outputs are the two-term forms.
+      V ff;
       if constexpr (decltype(start)::value == 0) {
         ff = base::biquad_ff_first(v, q[s].b0);
       } else if constexpr (decltype(start)::value == 1) {
@@ -90,7 +112,7 @@ void lpf_run(const LpfLanes& f, double* x, std::size_t n) {
       } else {
         ff = base::biquad_ff_step(v, x1[s], x2[s], q[s].b0, q[s].b1, q[s].b2);
       }
-      const v4 y = base::biquad_recur(ff, y1[s], y2[s], q[s].a1, q[s].a2);
+      const V y = base::biquad_recur(ff, y1[s], y2[s], q[s].a1, q[s].a2);
 #endif
       x2[s] = x1[s];
       x1[s] = v;
@@ -98,11 +120,24 @@ void lpf_run(const LpfLanes& f, double* x, std::size_t n) {
       y1[s] = y;
       v = y;
     }
-    store4(x + i * K, v * gain);
+    const V y = v * gain;
+    std::memcpy(out + i * L, &y, sizeof(y));
   };
   if (n > 0) sample(0, std::integral_constant<int, 0>{});
   if (n > 1) sample(1, std::integral_constant<int, 1>{});
   for (std::size_t i = 2; i < n; ++i) sample(i, std::integral_constant<int, 2>{});
+}
+
+// lpf_run with the common section counts fixed at compile time.
+template <class V>
+void lpf_sections(const LpfCascade* f, const double* in, double* out, std::size_t n) {
+  switch (f[0].count) {
+    case 1: lpf_run<V, 1>(f, in, out, n); return;
+    case 2: lpf_run<V, 2>(f, in, out, n); return;
+    case 3: lpf_run<V, 3>(f, in, out, n); return;
+    case 4: lpf_run<V, 4>(f, in, out, n); return;
+    default: lpf_run<V, 0>(f, in, out, n); return;
+  }
 }
 
 // Lane l's bit of a kernel's `active` field as a vector mask.
@@ -342,14 +377,12 @@ void draw_pairs(std::uint64_t (*state)[4], const std::size_t* pairs, std::size_t
   }
 }
 
-void lpf_lanes(const LpfLanes& lpf, double* x, std::size_t n) {
-  switch (lpf.sections) {
-    case 1: lpf_run<1>(lpf, x, n); return;
-    case 2: lpf_run<2>(lpf, x, n); return;
-    case 3: lpf_run<3>(lpf, x, n); return;
-    case 4: lpf_run<4>(lpf, x, n); return;
-    default: lpf_run<0>(lpf, x, n); return;
-  }
+void lpf_lanes(const LpfCascade* lanes, double* x, std::size_t n) {
+  lpf_sections<v4>(lanes, x, x, n);
+}
+
+void lpf_record(const LpfCascade& f, const double* in, double* out, std::size_t n) {
+  lpf_sections<double>(&f, in, out, n);
 }
 
 }  // namespace MSTS_SIMD_BACKEND_NS

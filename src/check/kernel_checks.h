@@ -56,8 +56,10 @@ Report check_path_lanes_vs_one_device(const RunOptions& opts = {});
 //   * window application is elementwise multiply: bit-identical at any width;
 //   * the FFT carries documented few-ulp drift from FMA contraction and
 //     reassociated butterflies;
-//   * the biquad cascade's feed-forward taps vectorize (FMA), the recurrence
-//     stays in reference order: a few ulps on unit-scale audio;
+//   * the LPF cascade (one loop for both walks, base/simd_lanes_body.h)
+//     fuses its feed-forward taps on the vector backends and keeps the
+//     recurrence in reference order: ~1e-14 absolute at most on
+//     unit-scale audio, over orders 2-16 and records from one sample;
 //   * add_cosine resyncs both backends to the same double-double carrier
 //     every kCosineResyncPeriod samples, bounding the gap near one ulp;
 //   * fault simulation is exact logic: detection verdicts and the good

@@ -263,9 +263,10 @@ DigitalTester::SpectralOutcome DigitalTester::spectral_campaign(
   MSTS_REQUIRE(stimulus_codes.size() == plan.record, "stimulus length must match plan");
   MSTS_REQUIRE(reference_codes.size() == plan.record,
                "reference length must match plan");
-  // The good-circuit spectrum of the ideal `reference_codes` is already baked
-  // into the plan's mask (plan() regenerates exactly these codes), so the
-  // campaign only needs to compare each machine against the mask.
+  // The good-circuit spectrum is already baked into the plan's mask (plan()
+  // ran the nominal path with its own noise seed), so the campaign only
+  // compares each machine against the mask; `reference_codes` is not read
+  // beyond its length.
 
   auto flagged = [&](std::span<const std::int64_t> waveform) {
     const dsp::Spectrum spec(output_volts(waveform), digital_fs(), plan.window);

@@ -92,11 +92,13 @@ class DigitalTester {
   CampaignResult exact_campaign(std::span<const std::int64_t> codes,
                                 std::span<const digital::Fault> faults) const;
 
-  /// Spectral campaign: good reference from `reference_codes` (ideal
-  /// stimulus), faulty machines driven by `stimulus_codes` (realistic
-  /// stimulus); detection per the plan's mask. Also reports whether the
-  /// fault-free circuit under the realistic stimulus stays inside the mask
-  /// (a false positive there is digital-test yield loss).
+  /// Spectral campaign: every machine, good and faulty, driven by
+  /// `stimulus_codes` (realistic stimulus); detection per the plan's mask.
+  /// The good reference is the mask itself, which plan() built from a noisy
+  /// run of the nominal path; `reference_codes` is only checked to span the
+  /// plan's record. Also reports whether the fault-free circuit under the
+  /// realistic stimulus stays inside the mask (a false positive there is
+  /// digital-test yield loss).
   struct SpectralOutcome {
     CampaignResult result;
     bool good_circuit_flagged = false;  ///< Fault-free machine outside mask.

@@ -135,17 +135,7 @@ struct PlanMemos {
 };
 
 PlanMemos& caches() {
-  static PlanMemos* c = [] {
-    // One-time registry stamp of the SIMD backend every dsp kernel call will
-    // dispatch to: dsp.simd.isa.<name> = 1 plus the lane widths, so metric
-    // snapshots (MSTS_METRICS) identify the backend a run used.
-    const simd::Kernels& k = simd::kernels();
-    obs::counter_add(std::string("dsp.simd.isa.") + simd::isa_name(k.isa));
-    obs::counter_add("dsp.simd.f64_width", k.f64_width);
-    obs::counter_add("dsp.simd.fault_words", k.fault_words);
-    obs::counter_add("dsp.simd.cosine_lanes", k.cosine_lanes);
-    return new PlanMemos;
-  }();
+  static PlanMemos* c = new PlanMemos;
   return *c;
 }
 

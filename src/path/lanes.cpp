@@ -177,20 +177,13 @@ void run_mixer(std::size_t stage, Batch& b) {
 }
 
 void run_lpf(std::size_t stage, Batch& b, bool feeds_adc) {
-  simd::LpfLanes f;
-  analog::LowPassFilter::Design d[K];
+  simd::LpfCascade f[K];
   for (std::size_t l = 0; l < b.lanes(); ++l) {
-    d[l] = b.devices[l]->lpf_at(stage).design(b.fs);
-    f.sections = d[l].count;
-    for (std::size_t s = 0; s < d[l].count; ++s) {
-      const analog::Biquad& q = d[l].sections[s];
-      f.b0[s][l] = q.b0;
-      f.b1[s][l] = q.b1;
-      f.b2[s][l] = q.b2;
-      f.a1[s][l] = q.a1;
-      f.a2[s][l] = q.a2;
-    }
-    f.gain[l] = d[l].gain;
+    const analog::LowPassFilter& lpf = b.devices[l]->lpf_at(stage);
+    const analog::LowPassFilter::Design d = lpf.design(b.fs);
+    f[l] = d.cascade;
+    b.spur_omega[l] = d.spur_omega;
+    b.spur_v[l] = lpf.actual_clock_spur_v();
   }
   if (b.shared_input) {
     for (std::size_t i = 0; i < b.n; ++i) {
@@ -199,10 +192,6 @@ void run_lpf(std::size_t stage, Batch& b, bool feeds_adc) {
   }
   simd::kernels().lpf_lanes(f, b.wave(), b.n);
   // The clock spur, lane by lane: add_cosine runs on a contiguous record.
-  for (std::size_t l = 0; l < b.lanes(); ++l) {
-    b.spur_omega[l] = d[l].spur_omega;
-    b.spur_v[l] = b.devices[l]->lpf_at(stage).actual_clock_spur_v();
-  }
   if (feeds_adc) {
     b.spur_pending = true;
     return;
