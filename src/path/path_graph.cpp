@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "base/require.h"
+#include "base/simd.h"
 #include "digital/fir.h"
 #include "dsp/fir_design.h"
 #include "obs/registry.h"
@@ -144,8 +145,11 @@ void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
 }
 
 void validate_lpf_block(const analog::LpfParams& lpf, double analog_fs) {
-  MSTS_REQUIRE(lpf.order >= 2 && lpf.order % 2 == 0,
-               "lpf order must be a positive even biquad-cascade order");
+  // analog::design_butterworth, behind both the response and the
+  // transient, designs at most kMaxSections sections.
+  MSTS_REQUIRE(lpf.order >= 2 && lpf.order % 2 == 0 &&
+                   lpf.order <= 2 * static_cast<int>(simd::LpfCascade::kMaxSections),
+               "lpf order must be an even biquad-cascade order from 2 to 16");
   validate_uncertain(lpf.cutoff_hz, "lpf cutoff_hz");
   validate_uncertain(lpf.passband_gain_db, "lpf passband_gain_db");
   validate_uncertain(lpf.clock_spur_v, "lpf clock_spur_v");

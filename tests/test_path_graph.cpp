@@ -171,9 +171,14 @@ TEST(PathGraphValidation, PerBlockRulesApplyInsideTheGraph) {
   g.blocks[3].adc_decimation = 0;
   EXPECT_THROW(validate(g), std::invalid_argument);
 
+  for (const int order : {3, 0, 18}) {
+    g = canonical_graph();
+    g.blocks[2].lpf.order = order;
+    EXPECT_THROW(validate(g), std::invalid_argument) << order;
+  }
   g = canonical_graph();
-  g.blocks[2].lpf.order = 3;
-  EXPECT_THROW(validate(g), std::invalid_argument);
+  g.blocks[2].lpf.order = 16;
+  EXPECT_NO_THROW(validate(g));
 
   g = canonical_graph();
   g.analog_fs = -1.0;
