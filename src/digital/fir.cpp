@@ -97,6 +97,9 @@ std::vector<std::int64_t> FirModel::run(std::span<const std::int64_t> x) {
 void fir_block_into(std::span<const std::int32_t> coeffs, int input_width,
                     std::span<const std::int64_t> x, std::vector<std::int64_t>& y) {
   MSTS_REQUIRE(!coeffs.empty(), "FIR needs at least one tap");
+  // As FirModel: 24-bit inputs at most, so every input fits the kernel's
+  // 32-bit multiply.
+  MSTS_REQUIRE(input_width >= 2 && input_width <= 24, "input width must be 2..24");
   for (std::int64_t v : x) {
     MSTS_REQUIRE(v == clamp_to_width(v, input_width), "input exceeds bus width");
   }

@@ -64,7 +64,8 @@ class FirModel {
 /// Block FIR: y[n] = sum_k coeffs[k] * x[n-k] with zero initial state,
 /// convolved directly against the record (no delay line). `y` is resized to
 /// x.size(); capacity is reused so steady-state calls allocate nothing.
-/// Every input must fit `input_width` bits (same contract as FirModel::step).
+/// `input_width` must be 2..24 and every input must fit it (same contract as
+/// FirModel), so every input fits int32.
 void fir_block_into(std::span<const std::int32_t> coeffs, int input_width,
                     std::span<const std::int64_t> x, std::vector<std::int64_t>& y);
 

@@ -386,11 +386,18 @@ TEST(KernelChecks, SimdAdcFirBitIdenticalToScalar) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
+TEST(KernelChecks, SimdPolarScaleBitIdenticalToScalarForm) {
+  const check::Report r = check::check_simd_polar_scale_vs_scalar();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all fifteen pairs
+  opts.cases = 2;  // smoke pass over all sixteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 15u);
+  ASSERT_EQ(reports.size(), 16u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);
