@@ -15,7 +15,8 @@
 // compiled without FMA contraction, and so are the lane kernels. The one
 // fused form either walk uses, the LPF's feed-forward half on the vector
 // backends, is written out with fused_mul_add, so it rounds the same under
-// any contraction setting.
+// any contraction setting. The polar scale's log (base/polar_log.h) is
+// written the same way: every fused form is an explicit fused_mul_add.
 #pragma once
 
 #include <cmath>
@@ -65,7 +66,8 @@ inline V fused_mul_add(V a, V b, V c) {
 // ---------------------------------------------------------------------------
 // Noise generator (stats::Rng): xoshiro256++ and the polar method's
 // candidate draw. U is std::uint64_t or a vector of lane states, V double
-// or the matching vector of doubles.
+// or the matching vector of doubles. The scale of an accepted pair, and
+// its log, are in base/polar_log.h.
 // ---------------------------------------------------------------------------
 
 template <class U>

@@ -93,8 +93,6 @@ Isa widest_available() {
   return Isa::kScalar;
 }
 
-// Resolved once (kernels() below); force_isa then swaps the pointer.
-std::atomic<const Kernels*> g_active{nullptr};
 std::once_flag g_once;
 
 const Kernels* resolve_initial() {
@@ -143,12 +141,14 @@ bool isa_compiled(Isa isa) { return table_for(isa) != nullptr; }
 
 bool isa_supported(Isa isa) { return cpu_supports(isa); }
 
-const Kernels& kernels() {
-  const Kernels* k = g_active.load(std::memory_order_acquire);
-  if (k != nullptr) return *k;
-  std::call_once(g_once,
-                 [] { g_active.store(resolve_initial(), std::memory_order_release); });
-  return *g_active.load(std::memory_order_acquire);
+// Resolved once (kernels()); force_isa then swaps the pointer.
+std::atomic<const Kernels*> detail::active_table{nullptr};
+
+const Kernels& detail::resolve_kernels() {
+  std::call_once(g_once, [] {
+    detail::active_table.store(resolve_initial(), std::memory_order_release);
+  });
+  return *detail::active_table.load(std::memory_order_acquire);
 }
 
 Isa active_isa() { return kernels().isa; }
@@ -169,7 +169,7 @@ const Kernels& kernels_for(Isa isa) {
 Isa force_isa(Isa isa) {
   const Kernels& next = kernels_for(isa);  // validates compiled + supported
   const Isa prev = kernels().isa;          // also forces initial resolution
-  g_active.store(&next, std::memory_order_release);
+  detail::active_table.store(&next, std::memory_order_release);
   return prev;
 }
 

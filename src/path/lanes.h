@@ -12,11 +12,13 @@
 // per batch. Noise is drawn interleaved too: Rng::fill_normal_lanes writes
 // each lane's deviates at stride kLanes, the LO walk's straight into the LO
 // block, and the draw kernel runs the lanes' accept loops side by side
-// (mask-free while every lane still needs pairs). The ADC conversion and
-// the FIR run per lane, each through its vector kernel (adc_convert,
-// fir_block). What still runs lane by lane in scalar code is the deviates'
-// scale pass (one log per pair), a jitter-free LO's mixer and the clock
-// spur of an LPF stage.
+// (mask-free while every lane still needs pairs); the scale kernel
+// (scale_pairs) then maps each lane's pairs to deviates in place at the
+// lane stride, W pairs' log and sqrt at a time. The ADC conversion and the
+// FIR run per lane, each through its vector kernel (adc_convert,
+// fir_block). What still runs lane by lane in scalar code is the draw
+// kernel's per-lane stores, a jitter-free LO's mixer and the clock spur of
+// an LPF stage.
 //
 // Every lane is bit-identical to the one-device run of its device: each
 // lane draws from its own stream in exactly the one-device order (a stage's
