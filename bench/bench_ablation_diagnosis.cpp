@@ -5,20 +5,20 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/diagnosis.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Ablation: spectral fault diagnosis accuracy ==\n\n");
-  obs::BenchReport report("ablation_diagnosis");
+  benchtool::BenchReport report("ablation_diagnosis");
   const auto config = path::reference_path_config();
   const core::DigitalTester tester(config);
 
   core::DigitalTestOptions opt;
-  opt.record = obs::scaled_record(512, 128);
+  opt.record = benchtool::scaled_record(512, 128);
   const auto plan = tester.plan(opt);
 
   // Dictionary characterised in the same translated-test setup the probes
@@ -30,7 +30,7 @@ int main() {
   stats::Rng dict_rng(778);
   const auto dict_codes = tester.path_codes(plan, device, dict_rng);
   std::vector<digital::Fault> dict_faults;
-  const std::size_t stride = obs::scaled_stride(20);
+  const std::size_t stride = benchtool::scaled_stride(20);
   for (std::size_t i = 0; i < tester.faults().size(); i += stride) {
     dict_faults.push_back(tester.faults()[i]);
   }

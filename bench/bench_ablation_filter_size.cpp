@@ -6,20 +6,20 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/digital_test.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Ablation: digital-filter size vs test cost and coverage ==\n\n");
-  obs::BenchReport report("ablation_filter_size");
+  benchtool::BenchReport report("ablation_filter_size");
   std::printf("%6s %6s %9s %9s %12s %10s\n", "taps", "bits", "gates", "faults",
               "coverage %", "sim time s");
 
   // Every fault at full scale; MSTS_BENCH_SCALE thins each cell's universe.
-  const std::size_t stride = obs::scaled_stride(1);
+  const std::size_t stride = benchtool::scaled_stride(1);
   for (const std::size_t taps : {9u, 13u, 17u, 21u}) {
     for (const int bits : {8, 12}) {
       auto config = path::reference_path_config();

@@ -6,27 +6,27 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/digital_test.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Ablation: spectral-mask margin vs coverage and yield ==\n\n");
-  obs::BenchReport report("ablation_noise_mask");
+  benchtool::BenchReport report("ablation_noise_mask");
   const auto config = path::reference_path_config();
   const core::DigitalTester tester(config);
   const path::ReceiverPath device(config);
 
   // Subsample the universe (1 in 4 at full scale; MSTS_BENCH_SCALE widens
   // the stride) to keep the sweep quick but stable.
-  const std::size_t stride = obs::scaled_stride(4);
+  const std::size_t stride = benchtool::scaled_stride(4);
   std::vector<digital::Fault> faults;
   for (std::size_t i = 0; i < tester.faults().size(); i += stride) {
     faults.push_back(tester.faults()[i]);
   }
-  const int good_runs = static_cast<int>(obs::scaled_trials(5, 2));
+  const int good_runs = static_cast<int>(benchtool::scaled_trials(5, 2));
   report.add_scalar("faults_simulated", static_cast<std::int64_t>(faults.size()));
   report.add_scalar("good_runs_per_margin", std::int64_t{good_runs});
 

@@ -6,15 +6,15 @@
 //      required tests in case three or more basic blocks are cascaded").
 #include <cstdio>
 
+#include "bench_report.h"
 #include "core/synthesizer.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Ablation: translation strategy choices ==\n\n");
-  obs::BenchReport report("ablation_translation");
+  benchtool::BenchReport report("ablation_translation");
   const auto config = path::reference_path_config();
 
   // ---- (1) adaptive vs nominal -----------------------------------------

@@ -8,9 +8,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/digital_test.h"
 #include "digital/atpg.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 #include "stats/parallel.h"
 
@@ -18,12 +18,12 @@ using namespace msts;
 
 int main() {
   std::printf("== ATPG classification of functional-test escapes ==\n\n");
-  obs::BenchReport report("atpg_redundancy");
+  benchtool::BenchReport report("atpg_redundancy");
   const auto config = path::reference_path_config();
   const core::DigitalTester tester(config);
 
   // Every collapsed fault at full scale; MSTS_BENCH_SCALE thins by a stride.
-  const std::size_t stride = obs::scaled_stride(1);
+  const std::size_t stride = benchtool::scaled_stride(1);
   std::vector<digital::Fault> faults;
   for (std::size_t i = 0; i < tester.faults().size(); i += stride) {
     faults.push_back(tester.faults()[i]);

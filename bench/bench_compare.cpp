@@ -55,7 +55,7 @@ std::string resolve_baseline(const std::string& dir, const Report& cand) {
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
   prefix += "BENCH_" + cand.bench;
 
-  const std::string isa = cand.label("simd.isa");
+  const std::string isa = cand.isa();
   if (!isa.empty()) {
     const std::string suffixed = prefix + "." + isa + ".json";
     if (file_exists(suffixed)) {

@@ -8,13 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "digital/fault_sim.h"
 #include "digital/fir.h"
 #include "dsp/fir_design.h"
 #include "dsp/metrics.h"
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
-#include "obs/bench_report.h"
 
 using namespace msts;
 
@@ -41,7 +41,7 @@ digital::Fault pick_fault(const digital::Netlist& nl,
 
 int main() {
   std::printf("== Fig. 1: output spectra of the 16-tap filter, pure sine input ==\n");
-  obs::BenchReport report("fig1_fault_spectra");
+  benchtool::BenchReport report("fig1_fault_spectra");
 
   report.phase_start("build_fir");
   const std::size_t kTaps = 16;
@@ -58,7 +58,7 @@ int main() {
 
   // Pure sine, bin-centred, ~60 % of full scale.
   const double fs = 4.0e6;
-  const std::size_t n = obs::scaled_record(1024, 256);
+  const std::size_t n = benchtool::scaled_record(1024, 256);
   const double f0 = dsp::coherent_frequency(fs, n, 300e3);
   const dsp::Tone tone{f0, 0.6 * 2048.0, 0.0};
   const auto wave = dsp::generate_tones(std::span(&tone, 1), 0.0, fs, n);

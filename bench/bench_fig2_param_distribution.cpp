@@ -6,15 +6,15 @@
 // content behind the figure's shaded regions.
 #include <cstdio>
 
+#include "bench_report.h"
 #include "core/coverage.h"
-#include "obs/bench_report.h"
 #include "stats/distributions.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Fig. 2: parameter distribution and FC/yield loss regions ==\n");
-  obs::BenchReport report("fig2_param_distribution");
+  benchtool::BenchReport report("fig2_param_distribution");
 
   // A generic toleranced parameter: nominal 1.0, tolerance ±10 % (3 sigma).
   const stats::Normal pop{1.0, 0.1 / 3.0};

@@ -8,8 +8,8 @@
 // exactly that scenario.
 #include <cstdio>
 
+#include "bench_report.h"
 #include "base/units.h"
-#include "obs/bench_report.h"
 #include "path/measurements.h"
 #include "path/receiver_path.h"
 
@@ -36,11 +36,11 @@ void scan(const char* name, const path::ReceiverPath& p, stats::Rng& rng,
 int main() {
   std::printf("== Fig. 3: gain errors masked at mid-amplitude, caught at the "
               "boundaries ==\n\n");
-  obs::BenchReport report("fig3_composition_boundary");
+  benchtool::BenchReport report("fig3_composition_boundary");
 
   const auto nominal_cfg = path::reference_path_config();
   path::MeasureOptions opts;
-  opts.digital_record = obs::scaled_record(2048, 512);
+  opts.digital_record = benchtool::scaled_record(2048, 512);
   const double f_if = path::coherent_if_freq(nominal_cfg, opts, 400e3);
 
   // Block A (+2 dB high) masked by Block B (-2 dB low): composed mid-point

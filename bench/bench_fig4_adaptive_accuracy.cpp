@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/translation.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 #include "stats/monte_carlo.h"
 
@@ -16,12 +16,12 @@ using namespace msts;
 
 int main() {
   std::printf("== Fig. 4: IIP3 translation accuracy, nominal vs adaptive ==\n\n");
-  obs::BenchReport report("fig4_adaptive_accuracy");
+  benchtool::BenchReport report("fig4_adaptive_accuracy");
 
   const auto config = path::reference_path_config();
   const core::Translator tr(config);
   path::MeasureOptions opts;
-  opts.digital_record = obs::scaled_record(2048, 512);
+  opts.digital_record = benchtool::scaled_record(2048, 512);
 
   report.phase_start("static_budgets");
   const auto a_ad = tr.analyze_mixer_iip3(true);
@@ -33,7 +33,7 @@ int main() {
   report.add_scalar("wc_budget_adaptive_db", a_ad.error.wc);
   report.add_scalar("wc_budget_nominal_db", a_no.error.wc);
 
-  const int kTrials = static_cast<int>(obs::scaled_trials(40, 6));
+  const int kTrials = static_cast<int>(benchtool::scaled_trials(40, 6));
   report.add_scalar("mc_paths", std::int64_t{kTrials});
   report.phase_start("mc_paths");
   stats::Rng mc(101);

@@ -2,16 +2,16 @@
 // between min-err and min+err trades fault-coverage loss against yield loss.
 #include <cstdio>
 
+#include "bench_report.h"
 #include "core/coverage.h"
 #include "core/synthesizer.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Fig. 5: threshold placement vs FCL / YL (mixer IIP3 test) ==\n\n");
-  obs::BenchReport report("fig5_threshold_impact");
+  benchtool::BenchReport report("fig5_threshold_impact");
 
   report.phase_start("study");
   const auto config = path::reference_path_config();

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/attr_models.h"
 #include "core/digital_test.h"
 #include "core/synthesizer.h"
@@ -17,7 +18,6 @@
 #include "dsp/metrics.h"
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
-#include "obs/bench_report.h"
 #include "path/lanes.h"
 #include "path/measurements.h"
 #include "path/path_graph.h"
@@ -283,7 +283,7 @@ namespace {
 // BenchReport, so BENCH_perf_kernels.json carries the per-kernel timings.
 class ReportingReporter : public benchmark::ConsoleReporter {
  public:
-  explicit ReportingReporter(obs::BenchReport* report) : report_(report) {}
+  explicit ReportingReporter(benchtool::BenchReport* report) : report_(report) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -300,13 +300,13 @@ class ReportingReporter : public benchmark::ConsoleReporter {
   }
 
  private:
-  obs::BenchReport* report_;
+  benchtool::BenchReport* report_;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::BenchReport report("perf_kernels");
+  benchtool::BenchReport report("perf_kernels");
 
   std::vector<char*> args(argv, argv + argc);
   // Under MSTS_BENCH_SCALE < 1 (the bench_smoke profile) cut the per-kernel
@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--benchmark_min_time", 20) == 0) has_min_time = true;
   }
-  if (obs::bench_scale() < 1.0 && !has_min_time) args.push_back(min_time.data());
+  if (benchtool::bench_scale() < 1.0 && !has_min_time) args.push_back(min_time.data());
 
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());

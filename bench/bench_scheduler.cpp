@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/bench_report.h"
+#include "bench_report.h"
 #include "stats/parallel.h"
 #include "stats/scheduler.h"
 
@@ -54,17 +54,17 @@ double wall_s(std::chrono::steady_clock::time_point t0) {
 
 int main() {
   std::printf("== Scheduler: work-stealing makespan on imbalanced workloads ==\n\n");
-  obs::BenchReport report("scheduler");
+  benchtool::BenchReport report("scheduler");
 
-  const double scale = obs::bench_scale();
-  const std::size_t iters = obs::scaled_trials(5, 2);
+  const double scale = benchtool::bench_scale();
+  const std::size_t iters = benchtool::scaled_trials(5, 2);
   constexpr int kRunners = 8;
 
   // --- Workload A: skewed flat fan-out -----------------------------------
   constexpr std::size_t kTasks = 32;
   constexpr std::size_t kHeavy = 4;  // tasks [0, 4) are the heavy block
-  const std::size_t heavy_us = obs::scaled_trials(40000, 400);
-  const std::size_t light_us = obs::scaled_trials(5000, 50);
+  const std::size_t heavy_us = benchtool::scaled_trials(40000, 400);
+  const std::size_t light_us = benchtool::scaled_trials(5000, 50);
 
   std::vector<std::uint64_t> static_out(kTasks), sched_out(kTasks);
   const auto skew_task = [&](std::vector<std::uint64_t>& out, std::size_t i) {
@@ -118,7 +118,7 @@ int main() {
   // --- Workload B: nested fan-out behind one heavy outer task -------------
   constexpr std::size_t kOuter = 8;
   constexpr std::size_t kInner = 16;
-  const std::size_t inner_us = obs::scaled_trials(10000, 100);
+  const std::size_t inner_us = benchtool::scaled_trials(10000, 100);
 
   std::vector<std::uint64_t> outer_only_out(kOuter + kInner),
       nested_out(kOuter + kInner);

@@ -8,21 +8,21 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/digital_test.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Sec. 3: coverage vs tone count and stimulus amplitude ==\n\n");
-  obs::BenchReport report("sec3_tone_sweep");
+  benchtool::BenchReport report("sec3_tone_sweep");
   const auto config = path::reference_path_config();
   const core::DigitalTester tester(config);
 
   // At reduced MSTS_BENCH_SCALE the fault universe is thinned by a stride;
   // 1 (i.e. every fault) at full scale.
-  const std::size_t stride = obs::scaled_stride(1);
+  const std::size_t stride = benchtool::scaled_stride(1);
   std::vector<digital::Fault> faults;
   for (std::size_t i = 0; i < tester.faults().size(); i += stride) {
     faults.push_back(tester.faults()[i]);

@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/digital_test.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 #include "stats/parallel.h"
 
@@ -19,7 +19,7 @@ using namespace msts;
 
 int main() {
   std::printf("== Sec. 5: digital filter fault coverage through the analog path ==\n\n");
-  obs::BenchReport report("sec5_fault_coverage");
+  benchtool::BenchReport report("sec5_fault_coverage");
   const int threads = stats::resolve_threads(0);
   std::printf("fault-simulation batches on %d thread%s (MSTS_THREADS overrides; "
               "coverage is thread-count invariant)\n\n",
@@ -29,7 +29,7 @@ int main() {
 
   // At reduced MSTS_BENCH_SCALE the universe is thinned by a stride (1 at
   // full scale, i.e. every collapsed fault).
-  const std::size_t stride = obs::scaled_stride(1);
+  const std::size_t stride = benchtool::scaled_stride(1);
   std::vector<digital::Fault> faults;
   for (std::size_t i = 0; i < tester.faults().size(); i += stride) {
     faults.push_back(tester.faults()[i]);
@@ -42,7 +42,7 @@ int main() {
 
   // ---- Stage 0: exact-inputs regime -------------------------------------
   core::DigitalTestOptions opt;
-  opt.record = obs::scaled_record(512, 128);
+  opt.record = benchtool::scaled_record(512, 128);
   const auto plan = tester.plan(opt);
   std::printf("stimulus: two tones at %.0f / %.0f kHz IF, %.2f V per tone at ADC\n",
               plan.if_freqs[0] / 1e3, plan.if_freqs[1] / 1e3, plan.per_tone_adc_vpeak);
@@ -84,7 +84,7 @@ int main() {
 
   report.phase_start("translated_long");
   core::DigitalTestOptions opt2 = opt;
-  opt2.record = obs::scaled_record(8192, 1024);
+  opt2.record = benchtool::scaled_record(8192, 1024);
   const auto plan2 = tester.plan(opt2);
   stats::Rng noise2(2001);
   const auto noisy2 = tester.path_codes(plan2, device, noise2);

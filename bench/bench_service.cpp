@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/bench_report.h"
+#include "bench_report.h"
 #include "path/receiver_path.h"
 #include "service/engine.h"
 #include "service/request.h"
@@ -52,10 +52,10 @@ double percentile_ns(std::vector<std::uint64_t> samples, double p) {
 
 int main() {
   std::printf("== Service: batched synthesis with plan/result caching ==\n\n");
-  obs::BenchReport report("service");
+  benchtool::BenchReport report("service");
 
-  const std::size_t distinct = obs::scaled_trials(64, 8);
-  const std::size_t requests = obs::scaled_trials(20000, 500);
+  const std::size_t distinct = benchtool::scaled_trials(64, 8);
+  const std::size_t requests = benchtool::scaled_trials(20000, 500);
 
   service::EngineOptions options;
   options.queue_capacity = 256;

@@ -24,7 +24,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "obs/bench_report.h"
+#include "bench_report.h"
 #include "path/receiver_path.h"
 #include "stats/parallel.h"
 #include "sweep/sweep.h"
@@ -33,12 +33,12 @@ using namespace msts;
 
 int main() {
   std::printf("== Sweep: topology/scenario ranking over the parallel MC engine ==\n\n");
-  obs::BenchReport report("sweep");
+  benchtool::BenchReport report("sweep");
 
   sweep::SweepOptions opts;
-  opts.mc_trials = static_cast<int>(obs::scaled_trials(20000, 1000));
-  const std::size_t iters = obs::scaled_trials(20, 2);
-  const std::size_t expand_iters = obs::scaled_trials(1000, 10);
+  opts.mc_trials = static_cast<int>(benchtool::scaled_trials(20000, 1000));
+  const std::size_t iters = benchtool::scaled_trials(20, 2);
+  const std::size_t expand_iters = benchtool::scaled_trials(1000, 10);
 
   // Phase 1: cross the matrix. Two IF plans on top of the default grid.
   sweep::ScenarioMatrix matrix;

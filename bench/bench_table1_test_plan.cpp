@@ -3,16 +3,16 @@
 // the computation-error budget, and the DFT flags.
 #include <cstdio>
 
+#include "bench_report.h"
 #include "core/dft_advisor.h"
 #include "core/synthesizer.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Table 1: synthesized mixed-signal test plan ==\n\n");
-  obs::BenchReport report("table1_test_plan");
+  benchtool::BenchReport report("table1_test_plan");
   const auto config = path::reference_path_config();
 
   report.phase_start("synthesize");

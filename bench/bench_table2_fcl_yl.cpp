@@ -11,15 +11,15 @@
 // Tol-Err zeroes YL and inflates FCL, Tol+Err the reverse — must reproduce.
 #include <cstdio>
 
+#include "bench_report.h"
 #include "core/synthesizer.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 
 using namespace msts;
 
 int main() {
   std::printf("== Table 2: fault-coverage and yield losses per threshold ==\n\n");
-  obs::BenchReport report("table2_fcl_yl");
+  benchtool::BenchReport report("table2_fcl_yl");
   const auto config = path::reference_path_config();
   const core::TestSynthesizer synth(config, /*adaptive=*/true);
 

@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_report.h"
 #include "core/mc_validation.h"
 #include "core/synthesizer.h"
-#include "obs/bench_report.h"
 #include "path/receiver_path.h"
 #include "stats/parallel.h"
 
@@ -19,10 +19,10 @@ using namespace msts;
 
 int main() {
   std::printf("== Table 2 cross-check: analytic losses vs executed-test MC ==\n\n");
-  obs::BenchReport report("table2_mc_crosscheck");
+  benchtool::BenchReport report("table2_mc_crosscheck");
   const auto config = path::reference_path_config();
   path::MeasureOptions opts;
-  opts.digital_record = obs::scaled_record(1024, 256);
+  opts.digital_record = benchtool::scaled_record(1024, 256);
 
   const int threads = stats::resolve_threads(0);
   std::printf("MC engine: %d thread%s (override with MSTS_THREADS; results are\n"
@@ -30,7 +30,7 @@ int main() {
               threads, threads == 1 ? "" : "s");
 
   // validate_iip3_study_mc requires at least 10 trials for its loss counts.
-  const auto trials = obs::scaled_trials(600, 20);
+  const auto trials = benchtool::scaled_trials(600, 20);
   report.add_scalar("trials_per_strategy", static_cast<std::int64_t>(trials));
   for (const bool adaptive : {true, false}) {
     const core::TestSynthesizer synth(config, adaptive);

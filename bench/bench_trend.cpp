@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   std::printf("bench_trend: bench '%s', %zu snapshots, threshold %.0f%%\n",
               reports.front().bench.c_str(), reports.size(), 100.0 * threshold);
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    const std::string isa = reports[i].label("simd.isa");
+    const std::string isa = reports[i].isa();
     std::printf("  #%zu  %s%s%s%s\n", i + 1, reports[i].path.c_str(),
                 isa.empty() ? "" : "  [simd.isa ", isa.c_str(),
                 isa.empty() ? "" : "]");

@@ -1,4 +1,6 @@
-// Schema validator for the BENCH_*.json files emitted by obs::BenchReport.
+// Schema validator for the BENCH_*.json files emitted by BenchReport
+// (bench_report.h); it reads them through report_io.h, as bench_compare and
+// bench_trend do.
 // The bench_smoke CTest label runs every bench at reduced scale and then
 // this tool over the emitted file; a malformed or incomplete report fails
 // the test. Every `metrics` entry (MSTS_METRICS runs) needs a name, a kind
@@ -13,14 +15,12 @@
 // per (cat, id). The trace_smoke CTest flow runs a bench with tracing on
 // and this mode over the exported file.
 #include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
 #include <iterator>
+#include <map>
+#include <string>
 #include <utility>
 
-#include "obs/json.h"
+#include "report_io.h"
 
 namespace {
 
@@ -43,23 +43,13 @@ std::string number_problem(const Value* v) {
 }
 
 bool validate(const char* path) {
-  std::ifstream in(path);
-  if (!in) return fail(path, "cannot open");
-  std::stringstream buf;
-  buf << in.rdbuf();
-
-  std::string err;
-  const auto doc = msts::obs::json::parse(buf.str(), &err);
-  if (!doc) return fail(path, "invalid JSON: " + err);
-  if (!doc->is_object()) return fail(path, "root is not an object");
+  std::string why;
+  const auto doc = msts::benchtool::read_report_json(path, &why);
+  if (!doc) return fail(path, why);
 
   const Value* bench = doc->find("bench");
   if (bench == nullptr || !bench->is_string() || bench->string.empty()) {
     return fail(path, "missing or invalid 'bench'");
-  }
-  const Value* version = doc->find("schema_version");
-  if (!is_number(version) || version->number != 1.0) {
-    return fail(path, "missing or invalid 'schema_version' (want 1)");
   }
   const Value* threads = doc->find("threads");
   if (!is_number(threads) || threads->number < 1.0) {
@@ -148,15 +138,9 @@ bool validate(const char* path) {
 }
 
 bool validate_trace(const char* path) {
-  std::ifstream in(path);
-  if (!in) return fail(path, "cannot open");
-  std::stringstream buf;
-  buf << in.rdbuf();
-
-  std::string err;
-  const auto doc = msts::obs::json::parse(buf.str(), &err);
-  if (!doc) return fail(path, "invalid JSON: " + err);
-  if (!doc->is_object()) return fail(path, "root is not an object");
+  std::string why;
+  const auto doc = msts::benchtool::read_json(path, &why);
+  if (!doc) return fail(path, why);
 
   const Value* events = doc->find("traceEvents");
   if (events == nullptr || !events->is_array()) {

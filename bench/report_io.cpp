@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/json.h"
-
 namespace msts::benchtool {
 
 namespace {
@@ -24,23 +22,49 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
-std::optional<Report> load_report(const char* path, const char* tool) {
+std::string informational_key(std::string_view name) {
+  std::string key(kInformationalPrefix);
+  key += name;
+  return key;
+}
+
+std::optional<Value> read_json(const char* path, std::string* why) {
   std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "%s: %s: cannot open\n", tool, path);
+    *why = "cannot open";
     return std::nullopt;
   }
   std::stringstream buf;
   buf << in.rdbuf();
   std::string err;
-  const auto doc = msts::obs::json::parse(buf.str(), &err);
-  if (!doc || !doc->is_object()) {
-    std::fprintf(stderr, "%s: %s: invalid JSON: %s\n", tool, path, err.c_str());
+  auto doc = msts::obs::json::parse(buf.str(), &err);
+  if (!doc) {
+    *why = "invalid JSON: " + err;
     return std::nullopt;
   }
+  if (!doc->is_object()) {
+    *why = "root is not an object";
+    return std::nullopt;
+  }
+  return doc;
+}
+
+std::optional<Value> read_report_json(const char* path, std::string* why) {
+  auto doc = read_json(path, why);
+  if (!doc) return std::nullopt;
   const Value* version = doc->find("schema_version");
-  if (version == nullptr || !version->is_number() || version->number != 1.0) {
-    std::fprintf(stderr, "%s: %s: not a schema-v1 bench report\n", tool, path);
+  if (version == nullptr || !version->is_number() || version->number != kSchemaVersion) {
+    *why = "not a schema-v" + std::to_string(kSchemaVersion) + " bench report";
+    return std::nullopt;
+  }
+  return doc;
+}
+
+std::optional<Report> load_report(const char* path, const char* tool) {
+  std::string why;
+  const auto doc = read_report_json(path, &why);
+  if (!doc) {
+    std::fprintf(stderr, "%s: %s: %s\n", tool, path, why.c_str());
     return std::nullopt;
   }
 
@@ -113,7 +137,7 @@ Direction scalar_direction(const std::string& key) {
 }
 
 bool is_informational(const std::string& key) {
-  return key.rfind("simd.", 0) == 0;
+  return key.rfind(kInformationalPrefix, 0) == 0;
 }
 
 bool is_regression(Direction dir, double change, double threshold) {

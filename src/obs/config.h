@@ -17,9 +17,9 @@
 // mark takes the slow path.
 //
 // MSTS_TRACE_PATH names the Chrome/Perfetto trace file span collection
-// exports to (obs/span.h; BenchReport::write() flushes there). Parsing is
-// as strict as the switches: setting it without MSTS_TRACE on, or pointing
-// it at a file that cannot be opened for writing, throws
+// exports to (obs/span.h; the benches' report writer flushes there).
+// Parsing is as strict as the switches: setting it without MSTS_TRACE on, or
+// pointing it at a file that cannot be opened for writing, throws
 // std::invalid_argument at startup — the same fail-fast semantics as a
 // malformed MSTS_THREADS — instead of silently tracing to nowhere.
 #pragma once

@@ -39,15 +39,15 @@
 // Exporter: spans_to_chrome_json writes Chrome/Perfetto trace-event JSON
 // ("X" complete slices per thread; records marked `async` become "b"/"e"
 // nestable async events so overlapping per-request spans get their own
-// tracks). Load the
-// file in ui.perfetto.dev or chrome://tracing. MSTS_TRACE_PATH (see
-// obs/config.h) names the export file: BenchReport::write() flushes the
-// drained batch there, and spans_flush_to_trace_path() does the same for
-// programs without a bench report.
+// tracks). Load the file in ui.perfetto.dev or chrome://tracing.
+// MSTS_TRACE_PATH (see obs/config.h) names the export file: the benches'
+// report writer (bench/bench_report.h) flushes the drained batch there, and
+// spans_flush_to_trace_path() does the same for programs without a bench
+// report.
 //
 // Stage latency is not aggregated here: each span's timer already carries
 // its stage's count / total / min / max and log2 bins (obs::quantile_ns),
-// and BenchReport prints the per-stage table from the timers.
+// and the benches' report writer prints the per-stage table from them.
 #pragma once
 
 #include <array>

@@ -25,16 +25,24 @@
 // so those tests single-thread themselves and tolerate nothing: any
 // allocation between the markers fails them.
 #include "counting_new.h"
-#include "obs/bench_report.h"
+
+#include "bench_report.h"
 #include "obs/config.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/span.h"
+#include "report_io.h"
 #include "stats/parallel.h"
 #include "stats/yield.h"
 
 namespace msts::obs {
 namespace {
+
+using benchtool::bench_scale;
+using benchtool::BenchReport;
+using benchtool::scaled_record;
+using benchtool::scaled_stride;
+using benchtool::scaled_trials;
 
 // Saves and restores the active obs configuration around a test.
 class ConfigGuard {
@@ -545,6 +553,66 @@ TEST(ObsBenchReport, WritesValidatableJson) {
   EXPECT_EQ(v->find("scalars")->find("yield")->number, 0.875);
   EXPECT_EQ(v->find("scalars")->find("trials")->number, 1000.0);
   EXPECT_EQ(v->find("labels")->find("mode")->string, "selftest");
+}
+
+// The writer and the reader the gate tools use (benchtool::load_report) agree
+// on the format: scalars, labels and phases come back in the order written,
+// with the same values, the backend's informational keys included, and a
+// non-finite scalar (written as null) comes back as NaN.
+TEST(ObsBenchReport, LoadReportReadsBackWhatTheWriterWrote) {
+  ConfigGuard guard;
+  configure(make_config(false, false));
+  EnvVarGuard dir_guard("MSTS_BENCH_JSON_DIR");
+  EnvVarGuard scale_guard("MSTS_BENCH_SCALE");
+  ::setenv("MSTS_BENCH_JSON_DIR", ::testing::TempDir().c_str(), 1);
+  ::unsetenv("MSTS_BENCH_SCALE");
+
+  std::string path;
+  double run_wall_s = -1.0;
+  {
+    BenchReport report("obs_roundtrip_selftest");
+    path = report.json_path();
+    std::remove(path.c_str());
+    for (const char* label : {"setup", "run"}) {
+      auto p = report.phase(label);
+    }
+    run_wall_s = report.last_phase_wall_s();
+    report.add_scalar("yield", 0.1 + 1e-17);
+    report.add_scalar("trials", std::int64_t{1000});
+    report.add_scalar("bad_rate", std::nan(""));
+    report.add_label("mode", "selftest");
+    ASSERT_TRUE(report.write());
+  }
+
+  const auto r = benchtool::load_report(path.c_str(), "test_obs");
+  std::remove(path.c_str());
+  ASSERT_TRUE(r.has_value()) << path;
+  EXPECT_EQ(r->bench, "obs_roundtrip_selftest");
+
+  ASSERT_EQ(r->scalars.size(), 5u);
+  EXPECT_EQ(r->scalars[0].first, "simd.f64_width");
+  EXPECT_EQ(r->scalars[1].first, "simd.fault_words");
+  EXPECT_TRUE(benchtool::is_informational(r->scalars[0].first));
+  EXPECT_TRUE(benchtool::is_informational(r->scalars[1].first));
+  EXPECT_GE(r->scalars[0].second, 1.0);
+  EXPECT_EQ(r->scalars[2].first, "yield");
+  EXPECT_EQ(r->scalars[2].second, 0.1 + 1e-17);
+  EXPECT_EQ(r->scalars[3].first, "trials");
+  EXPECT_EQ(r->scalars[3].second, 1000.0);
+  EXPECT_EQ(r->scalars[4].first, "bad_rate");
+  EXPECT_TRUE(std::isnan(r->scalars[4].second));
+
+  ASSERT_EQ(r->labels.size(), 2u);
+  EXPECT_EQ(r->labels[0].first, "simd.isa");
+  EXPECT_FALSE(r->isa().empty());
+  EXPECT_EQ(r->isa(), r->labels[0].second);
+  EXPECT_EQ(r->label("mode"), "selftest");
+
+  ASSERT_EQ(r->phase_wall_s.size(), 2u);
+  EXPECT_EQ(r->phase_wall_s[0].first, "setup");
+  EXPECT_EQ(r->phase_wall_s[1].first, "run");
+  EXPECT_EQ(r->phase_wall_s[1].second, run_wall_s);
+  EXPECT_GE(r->total_wall_s, r->phase_wall_s[0].second + r->phase_wall_s[1].second);
 }
 
 // A bench that computes a non-finite scalar (e.g. 0/0 from an empty phase)
