@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/signal_attr.h"
@@ -23,9 +22,6 @@ class AttrModel {
  public:
   virtual ~AttrModel() = default;
 
-  /// Block name for reports ("amp", "mixer", ...).
-  virtual std::string name() const = 0;
-
   /// Propagates a signal description through the block.
   virtual SignalAttributes forward(const SignalAttributes& in) const = 0;
 };
@@ -34,7 +30,6 @@ class AttrModel {
 class AmpAttrModel : public AttrModel {
  public:
   explicit AmpAttrModel(const analog::AmpParams& params);
-  std::string name() const override { return "amp"; }
   SignalAttributes forward(const SignalAttributes& in) const override;
 
  private:
@@ -47,7 +42,6 @@ class AmpAttrModel : public AttrModel {
 class MixerAttrModel : public AttrModel {
  public:
   MixerAttrModel(const analog::MixerParams& params, const analog::LoParams& lo);
-  std::string name() const override { return "mixer"; }
   SignalAttributes forward(const SignalAttributes& in) const override;
 
  private:
@@ -63,7 +57,6 @@ class LpfAttrModel : public AttrModel {
   /// Designs the nominal and cutoff +/- wc responses once, for the rate `fs`
   /// the model runs at; forward() requires its input at that rate.
   LpfAttrModel(const analog::LpfParams& params, double fs);
-  std::string name() const override { return "lpf"; }
   SignalAttributes forward(const SignalAttributes& in) const override;
 
   /// Toleranced magnitude gain (linear) at frequency f.
@@ -81,7 +74,6 @@ class LpfAttrModel : public AttrModel {
 class AdcAttrModel : public AttrModel {
  public:
   AdcAttrModel(const analog::AdcParams& params, std::size_t decimation);
-  std::string name() const override { return "adc"; }
   SignalAttributes forward(const SignalAttributes& in) const override;
 
  private:
@@ -95,7 +87,6 @@ class AdcAttrModel : public AttrModel {
 class FirAttrModel : public AttrModel {
  public:
   FirAttrModel(std::vector<std::int32_t> coeffs, int frac_bits);
-  std::string name() const override { return "fir"; }
   SignalAttributes forward(const SignalAttributes& in) const override;
 
   /// Exact magnitude response at frequency f for context rate fs.
@@ -143,7 +134,6 @@ class PathAttrModel {
   double pi_amplitude_for(std::size_t block_index, double f_rf,
                           double target_vpeak) const;
 
-  const AttrModel& block(std::size_t i) const { return *blocks_[i]; }
   /// The graph description this cascade was built from.
   const path::PathGraphConfig& graph() const { return graph_; }
 
